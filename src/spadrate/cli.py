@@ -145,13 +145,13 @@ def cmd_simulate(ctx, **kw):
         raise click.UsageError("--ri is required (directly or via --config)")
     if (kw["events"] is None) == (kw["duration"] is None):
         raise click.UsageError("specify exactly one of --events or --duration")
-    if kw["events"] is not None and kw["events"] < 1:
-        raise click.UsageError("--events must be a positive count")
+    if kw["events"] is not None and not 1 <= kw["events"] < np.inf:
+        raise click.UsageError("--events must be a positive finite count")
 
     params = _validated(er.ErParams, eta0=kw["eta0"], tau_d=kw["tau_d"], tau_r=kw["tau_r"])
     source = _validated(er.SourceParams, photon_rate=kw["ri"], dark_apriori=kw["dark"])
     par = None
-    if kw["tau_p1"] > 0 or kw["tau_p2"] > 0:
+    if kw["tau_p1"] != 0 or kw["tau_p2"] != 0:
         par = _validated(paralyzing.ParalyzingParams, tau_p1=kw["tau_p1"], tau_p2=kw["tau_p2"])
     config = _validated(
         simulate.SimConfig,
@@ -212,9 +212,12 @@ def _parse_assignments(pairs, what: str) -> dict[str, float]:
             raise click.UsageError(f"--{what} expects name=value, got {pair!r}")
         name, _, value = pair.partition("=")
         try:
-            out[name.strip()] = float(value)
+            number = float(value)
         except ValueError:
             raise click.UsageError(f"--{what} {name}: not a number: {value!r}")
+        if not np.isfinite(number):
+            raise click.UsageError(f"--{what} {name}: not a finite number: {value!r}")
+        out[name.strip()] = number
     return out
 
 
@@ -228,16 +231,13 @@ def _parse_assignments(pairs, what: str) -> dict[str, float]:
               help="Calibrated photon rate [1/s]; enables eta0 recovery.")
 @click.option("--dark", type=float, default=0.0, show_default=True,
               help="A priori dark-count rate [1/s], subtracted before eta0 recovery.")
-@click.option("--bin-mode", type=click.Choice(["auto", "center", "simpson"]),
-              default="auto", show_default=True,
-              help="Evaluate the model at bin centers or integrate over bins.")
 @click.option("--out", type=click.Path(), default=None,
               help="Fit result JSON [default: fit.json].")
 @click.option("--curve", type=click.Path(), default=None,
               help="Model-curve CSV for plotting [default: <out stem>_curve.csv].")
 @click.pass_context
 @_handle_errors
-def cmd_fit(ctx, histogram, fix, init, ri, dark, bin_mode, out, curve):
+def cmd_fit(ctx, histogram, fix, init, ri, dark, out, curve):
     """Fit the recovery model to an interval histogram."""
     hist = inference.IntervalHistogram.from_csv(histogram)
     result = inference.fit_er_histogram(
@@ -246,7 +246,6 @@ def cmd_fit(ctx, histogram, fix, init, ri, dark, bin_mode, out, curve):
         fixed=_parse_assignments(fix, "fix"),
         photon_rate=ri,
         dark_apriori=dark,
-        bin_mode=bin_mode,
     )
     out = _out_path(out, "fit.json")
     with open(out, "w") as fh:
@@ -254,10 +253,8 @@ def cmd_fit(ctx, histogram, fix, init, ri, dark, bin_mode, out, curve):
         fh.write("\n")
 
     curve_path = Path(curve) if curve else Path(out).with_name(Path(out).stem + "_curve.csv")
-    params = er.ErParams(eta0=1.0, tau_d=result.tau_d, tau_r=result.tau_r)
-    source = er.SourceParams(photon_rate=result.r_star)
-    expected = (result.scale * hist.total * hist.bin_width
-                * er.er_interval_pdf(hist.bin_centers, params, source))
+    expected = inference.expected_counts(hist, result.r_star, result.tau_d, result.tau_r,
+                                         result.scale)
     with open(curve_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_center_s", "count", "expected_count"])
@@ -265,7 +262,7 @@ def cmd_fit(ctx, histogram, fix, init, ri, dark, bin_mode, out, curve):
             writer.writerow([f"{center:.17g}", int(count), f"{mu:.10g}"])
 
     config = {"histogram": str(histogram), "fix": list(fix), "init": list(init),
-              "ri": ri, "dark": dark, "bin_mode": bin_mode}
+              "ri": ri, "dark": dark}
     manifest = _write_manifest(Path(out), "fit", config, [str(histogram)],
                                [str(out), str(curve_path)])
     click.echo(f"r_star = {result.r_star:.6e} /s")

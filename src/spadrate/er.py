@@ -72,10 +72,10 @@ class ErParams:
     def __post_init__(self):
         if not 0 < self.eta0 <= 1:
             raise ValueError(f"eta0 must be in (0, 1], got {self.eta0}")
-        if self.tau_d < 0:
-            raise ValueError(f"tau_d must be non-negative, got {self.tau_d}")
-        if self.tau_r <= 0:
-            raise ValueError(f"tau_r must be positive, got {self.tau_r}")
+        if not 0 <= self.tau_d < np.inf:
+            raise ValueError(f"tau_d must be finite and non-negative, got {self.tau_d}")
+        if not 0 < self.tau_r < np.inf:
+            raise ValueError(f"tau_r must be finite and positive, got {self.tau_r}")
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,10 @@ class SourceParams:
     dark_apriori: float = 0.0
 
     def __post_init__(self):
-        if self.photon_rate < 0:
-            raise ValueError(f"photon rate must be non-negative, got {self.photon_rate}")
-        if self.dark_apriori < 0:
-            raise ValueError(f"dark rate must be non-negative, got {self.dark_apriori}")
+        if not 0 <= self.photon_rate < np.inf:
+            raise ValueError(f"photon rate must be finite and non-negative, got {self.photon_rate}")
+        if not 0 <= self.dark_apriori < np.inf:
+            raise ValueError(f"dark rate must be finite and non-negative, got {self.dark_apriori}")
 
     def apriori_rate(self, params: ErParams) -> float:
         """Combined a priori detection rate eta0 * photon_rate + dark."""

@@ -1,12 +1,15 @@
 """Histogramming, model fitting, and a-priori-rate inference.
 
 The measured inter-detection intervals are binned, and the binned counts
-are fitted by maximising the Poisson likelihood of the expected counts
+are fitted by maximising the Poisson likelihood of the exact expected
+counts.  Bin j = [a_j, b_j) holds
 
-    mu_j = scale * total * bin_width * interval_pdf(bin_center_j)
+    mu_j = scale * total * [S(a_j - tau_d) - S(b_j - tau_d)]
 
-over (r_star, tau_d, tau_r, scale), any subset of which may be held
-fixed.  The histogram alone identifies only the combined a priori rate
+where S = exp(-H) is the survival function of the detector-on time, H its
+integrated hazard, and S = 1 below the dead-time.  The fit varies
+(r_star, tau_d, tau_r, scale), any subset of which may be held fixed.  The
+histogram alone identifies only the combined a priori rate
 r_star = eta0 * photon_rate + dark rate; the asymptotic efficiency eta0
 is recovered afterwards when a calibrated photon rate is supplied.
 
@@ -20,7 +23,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import er, nhpp
 from .exceptions import DegenerateDataError, FitError
@@ -30,13 +32,13 @@ __all__ = [
     "FitResult",
     "InferredRate",
     "build_histogram",
+    "expected_counts",
     "fit_er_histogram",
     "infer_apriori_rate",
     "dark_count_rate_from_measurement",
 ]
 
 _PARAM_NAMES = ("r_star", "tau_d", "tau_r", "scale")
-_MU_FLOOR = 1e-300
 
 
 @dataclass
@@ -65,8 +67,12 @@ class IntervalHistogram:
         return int(self.counts.sum())
 
     @property
+    def bin_edges(self) -> np.ndarray:
+        return self.origin + self.bin_width * np.arange(self.counts.size + 1)
+
+    @property
     def bin_lefts(self) -> np.ndarray:
-        return self.origin + self.bin_width * np.arange(self.counts.size)
+        return self.bin_edges[:-1]
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -204,34 +210,64 @@ def _default_init(hist: IntervalHistogram) -> dict[str, float]:
     return {"r_star": r_star0, "tau_d": tau_d0, "tau_r": tau_r0, "scale": 1.0}
 
 
-def _expected_counts(hist, theta: dict[str, float], simpson: bool):
-    width = hist.bin_width
-    params = er.ErParams(eta0=1.0, tau_d=theta["tau_d"], tau_r=theta["tau_r"])
-    source = er.SourceParams(photon_rate=theta["r_star"])
-    norm = theta["scale"] * hist.total * width
-    if simpson:
-        lefts = hist.bin_lefts
-        f = (
-            er.er_interval_pdf(lefts, params, source)
-            + 4.0 * er.er_interval_pdf(lefts + 0.5 * width, params, source)
-            + er.er_interval_pdf(lefts + width, params, source)
-        ) / 6.0
-        return norm * f
-    return norm * er.er_interval_pdf(hist.bin_centers, params, source)
+def _bin_model(edges, params, total):
+    """Exact expected counts between consecutive edges, and H at the edges.
+
+    ``params`` holds (r_star, tau_d, tau_r, scale).  A bin [a, b) gets
+    scale * total * S(a) * (1 - exp(-[H(b) - H(a)])), with H the integrated
+    hazard of the on-time max(edge - tau_d, 0) and S = exp(-H); this form
+    has no tail cancellation.
+    """
+    r_star, tau_d, tau_r, scale = params
+    hazard = er.er_cumulative_hazard(np.maximum(edges - tau_d, 0.0), r_star, tau_r)
+    mu = scale * total * np.exp(-hazard[:-1]) * -np.expm1(-np.diff(hazard))
+    return mu, hazard
 
 
-def _nll(counts, mu):
-    mu_safe = np.maximum(mu, _MU_FLOOR)
-    populated = counts > 0
-    return float(mu.sum() - np.sum(counts[populated] * np.log(mu_safe[populated])))
+def expected_counts(hist: IntervalHistogram, r_star: float, tau_d: float, tau_r: float,
+                    scale: float = 1.0) -> np.ndarray:
+    """Exact expected count of every bin of ``hist``: the model the fit maximises."""
+    mu, _ = _bin_model(hist.bin_edges, (r_star, tau_d, tau_r, scale), hist.total)
+    return mu
 
 
-def _deviance_residuals(counts, mu):
-    mu_safe = np.maximum(mu, _MU_FLOOR)
+def _log_jacobian(edges, params, hazard):
+    """d log mu / d log p of every bin, one row per parameter of _PARAM_NAMES."""
+    r_star, tau_d, tau_r, _ = params
+    x = np.maximum(edges - tau_d, 0.0) / tau_r
+    recovered = -np.expm1(-x)
+    # d H / d log p; every row vanishes at the dead-time edge
+    d_hazard = np.stack([
+        hazard,
+        -tau_d * r_star * recovered,
+        -tau_r * r_star * (recovered - x * np.exp(-x)),
+        np.zeros_like(x),
+    ])
+    step = np.diff(hazard)
     with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(counts > 0, counts * np.log(counts / mu_safe), 0.0)
-    dev = 2.0 * (term - (counts - mu))
-    return np.sign(counts - mu) * np.sqrt(np.maximum(dev, 0.0))
+        d_log_mu = np.where(step > 0, np.diff(d_hazard, axis=1) / np.expm1(step), 0.0)
+    d_log_mu -= d_hazard[:, :-1]
+    d_log_mu[3] = 1.0
+    return d_log_mu
+
+
+def _half_deviance(edges, counts, params, total, free):
+    """Half the Poisson deviance, its gradient and the expected information.
+
+    Derivatives are with respect to the logs of the free parameters.  The
+    deviance differs from the negative log-likelihood by a constant, and
+    its terms are each of order one, so it carries far less rounding noise
+    than the likelihood itself.
+    """
+    mu, hazard = _bin_model(edges, params, total)
+    d_log_mu = _log_jacobian(edges, params, hazard)[free]
+    terms = mu - counts
+    grad = d_log_mu @ terms
+    information = (mu * d_log_mu) @ d_log_mu.T
+    populated = counts > 0
+    with np.errstate(divide="ignore"):
+        terms[populated] += counts[populated] * np.log(counts[populated] / mu[populated])
+    return float(terms.sum()), grad, information
 
 
 def fit_er_histogram(
@@ -241,21 +277,27 @@ def fit_er_histogram(
     *,
     photon_rate: float | None = None,
     dark_apriori: float = 0.0,
-    bin_mode: str = "auto",
     max_iterations: int = 500,
 ) -> FitResult:
     """Maximum-likelihood fit of the interval model to a histogram.
 
     ``fixed`` names parameters held at their init values (or, as a
-    mapping, at the supplied values); everything else is free.  Internally
-    free parameters are optimised in log space: a coarse grid over tau_r
-    seeds a Nelder-Mead search, which a trust-region pass on the deviance
-    residuals then polishes.  Uncertainties come from the inverse of the
-    numerically evaluated observed-information matrix.
+    mapping, at the supplied values); everything else is free.  The free
+    parameters are fitted in log space by Fisher scoring on the exact
+    binned likelihood, started from the best point of a coarse grid over
+    tau_r.  Bins from the first to the last populated one are modelled one
+    by one; the empty ranges on either side enter as two lumped bins,
+    which leaves the likelihood unchanged.  Uncertainties come from the
+    inverse of the expected (Fisher) information at the solution.
+
+    Raises :class:`FitError` when a populated bin has zero expected count
+    at the start (for example a dead-time held above it), or when scoring
+    does not converge within ``max_iterations`` steps.
     """
     if hist.total < 1:
         raise DegenerateDataError("histogram is empty")
-    if np.count_nonzero(hist.counts) < 2:
+    populated = np.flatnonzero(hist.counts)
+    if populated.size < 2:
         raise DegenerateDataError("all counts fall in a single bin; model is unidentifiable")
 
     theta = _default_init(hist)
@@ -272,122 +314,81 @@ def fit_er_histogram(
         fixed_names = tuple(name for name in _PARAM_NAMES if name in fixed)
     else:
         fixed_names = tuple(name for name in _PARAM_NAMES if name in set(fixed))
-    free_names = [name for name in _PARAM_NAMES if name not in fixed_names]
-    if not free_names:
+    free = np.array([name not in fixed_names for name in _PARAM_NAMES])
+    if not free.any():
         raise ValueError("at least one parameter must be free")
     for name in _PARAM_NAMES:
-        if theta[name] <= 0:
-            raise ValueError(f"initial {name} must be positive, got {theta[name]}")
+        if not 0 < theta[name] < np.inf:
+            raise ValueError(f"initial {name} must be positive and finite, got {theta[name]}")
 
-    simpson = bin_mode == "simpson" or (
-        bin_mode == "auto" and hist.bin_width > theta["tau_r"] / 10.0
-    )
-    if bin_mode not in ("auto", "center", "simpson"):
-        raise ValueError(f"unknown bin_mode {bin_mode!r}")
+    lo, hi = int(populated[0]), int(populated[-1]) + 1
+    all_edges = hist.bin_edges
+    edges = np.concatenate(([all_edges[0]], all_edges[lo:hi + 1], [all_edges[-1]]))
+    counts = np.concatenate(([0.0], hist.counts[lo:hi], [0.0]))
+    start = np.array([theta[name] for name in _PARAM_NAMES])
 
-    counts = hist.counts.astype(float)
+    def params_of(x):
+        params = start.copy()
+        params[free] = np.exp(x)
+        return params
 
-    def unpack(x):
-        current = dict(theta)
-        for name, value in zip(free_names, x):
-            current[name] = float(np.exp(value))
-        return current
+    def objective(x):
+        return _half_deviance(edges, counts, params_of(x), hist.total, free)
 
-    def nll_of(x):
-        return _nll(counts, _expected_counts(hist, unpack(x), simpson))
+    def failure(message, x):
+        return FitError(message, details={"params": dict(zip(_PARAM_NAMES, params_of(x).tolist()))})
 
-    # Coarse grid over tau_r: the likelihood in tau_r is multimodal-prone
-    # when the starting point sits far from the truth.
-    if "tau_r" in free_names:
-        base = dict(theta)
-        best = (np.inf, theta["tau_r"])
-        for factor in np.logspace(-1.5, 1.5, 13):
-            base["tau_r"] = theta["tau_r"] * factor
-            val = _nll(counts, _expected_counts(hist, base, simpson))
-            if val < best[0]:
-                best = (val, base["tau_r"])
-        theta["tau_r"] = best[1]
+    # Coarse grid over tau_r: once tau_r is far longer than the data span
+    # the hazard depends on r_star / tau_r alone and the information is
+    # singular, so scoring must not start there.
+    if "tau_r" not in fixed_names:
+        factors = np.logspace(-1.5, 1.5, 13)
+        scan = [_half_deviance(edges, counts, start * [1.0, 1.0, f, 1.0], hist.total, free)[0]
+                for f in factors]
+        start[2] *= factors[int(np.argmin(scan))]
 
-    x0 = np.log([theta[name] for name in free_names])
-    nm = optimize.minimize(
-        nll_of,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-9,
-            "fatol": 1e-9,
-            "maxiter": max_iterations * len(free_names),
-            "maxfev": 4 * max_iterations * len(free_names),
-        },
-    )
+    x = np.log(start[free])
+    value, grad, information = objective(x)
+    if not np.isfinite(value):
+        raise failure("a populated bin has zero expected count at the starting parameters", x)
+    iterations = 0
+    while True:
+        try:
+            step = np.linalg.solve(information, grad)
+        except np.linalg.LinAlgError:
+            raise failure("information matrix is singular", x)
+        # Newton decrement: below it the remaining step is under 1e-4 sigma,
+        # while the deviance still resolves the decrease it promises.
+        if grad @ step < 1e-8:
+            break
+        if iterations == max_iterations:
+            raise failure("histogram fit did not converge", x)
+        step /= max(1.0, float(np.abs(step).max()))
+        for _ in range(40):
+            trial = objective(x - step)
+            if trial[0] < value:
+                break
+            step /= 2.0
+        else:
+            raise failure("line search found no decrease", x)
+        x = x - step
+        value, grad, information = trial
+        iterations += 1
 
-    def residuals_of(x):
-        return _deviance_residuals(counts, _expected_counts(hist, unpack(x), simpson))
-
-    polish = optimize.least_squares(
-        residuals_of, nm.x, method="trf", xtol=1e-12, ftol=1e-12, gtol=1e-12,
-        diff_step=1e-7,
-    )
-    x_best = polish.x if nll_of(polish.x) <= nm.fun else nm.x
-    if not (nm.success or polish.success):
-        raise FitError(
-            "histogram fit did not converge",
-            details={
-                "nelder_mead": nm.message,
-                "polish": polish.message,
-                "params": unpack(x_best),
-                "nll": nll_of(x_best),
-            },
-        )
-    theta_best = unpack(x_best)
-
-    # Observed information: central-difference Hessian of the NLL in log
-    # space, transformed back through d(log p) = dp / p.
-    uncertainties: dict[str, float] = {}
-    n_free = len(free_names)
-    step = 1e-4
-    hess = np.empty((n_free, n_free))
-    f0 = nll_of(x_best)
-    for i in range(n_free):
-        for j in range(i, n_free):
-            ei = np.zeros(n_free); ei[i] = step
-            ej = np.zeros(n_free); ej[j] = step
-            if i == j:
-                val = (nll_of(x_best + ei) - 2 * f0 + nll_of(x_best - ei)) / step**2
-            else:
-                val = (
-                    nll_of(x_best + ei + ej)
-                    - nll_of(x_best + ei - ej)
-                    - nll_of(x_best - ei + ej)
-                    + nll_of(x_best - ei - ej)
-                ) / (4 * step**2)
-            hess[i, j] = hess[j, i] = val
-    try:
-        cov = np.linalg.inv(hess)
-        sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        for name, sigma in zip(free_names, sigmas):
-            uncertainties[name] = float(theta_best[name] * sigma)
-    except np.linalg.LinAlgError:
-        for name in free_names:
-            uncertainties[name] = float("nan")
-
-    mu = _expected_counts(hist, theta_best, simpson)
-    deviance = float(np.sum(_deviance_residuals(counts, mu) ** 2))
-    dof = max(hist.counts.size - n_free, 1)
+    best = params_of(x)
+    sigmas = best[free] * np.sqrt(np.maximum(np.diag(np.linalg.inv(information)), 0.0))
+    free_names = [name for name, is_free in zip(_PARAM_NAMES, free) if is_free]
 
     eta0 = None
     if photon_rate is not None and photon_rate > 0:
-        eta0 = (theta_best["r_star"] - dark_apriori) / photon_rate
+        eta0 = (float(best[0]) - dark_apriori) / photon_rate
 
     return FitResult(
-        r_star=theta_best["r_star"],
-        tau_d=theta_best["tau_d"],
-        tau_r=theta_best["tau_r"],
-        scale=theta_best["scale"],
+        **dict(zip(_PARAM_NAMES, best.tolist())),
         fixed=fixed_names,
-        uncertainties=uncertainties,
-        goodness=deviance / dof,
-        iterations=int(nm.nit) + int(polish.nfev),
+        uncertainties=dict(zip(free_names, sigmas.tolist())),
+        goodness=2.0 * value / max(hi - lo - len(free_names), 1),
+        iterations=iterations,
         n_bins=hist.counts.size,
         eta0=eta0,
     )
@@ -402,9 +403,6 @@ class InferredRate:
     measured: float
     model: str
     clipped: bool = False
-
-    def rate_pair(self) -> nhpp.RatePair:
-        return nhpp.RatePair(apriori=self.total_apriori, measured=self.measured)
 
 
 _MODEL_ALIASES = {

@@ -37,8 +37,8 @@ class ParalyzingParams:
     tau_p2: float = 0.0
 
     def __post_init__(self):
-        if self.tau_p1 < 0 or self.tau_p2 < 0:
-            raise ValueError("paralyzing time constants must be non-negative")
+        if not (0 <= self.tau_p1 < np.inf and 0 <= self.tau_p2 < np.inf):
+            raise ValueError("paralyzing time constants must be finite and non-negative")
 
 
 def paralyzation_prob(pp: ParalyzingParams, r_star: float, tau_r: float) -> float:

@@ -58,8 +58,8 @@ class SimConfig:
             raise ValueError("specify exactly one of n_events or duration")
         if self.n_events is not None and self.n_events <= 0:
             raise ValueError(f"n_events must be positive, got {self.n_events}")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if self.duration is not None and not 0 < self.duration < np.inf:
+            raise ValueError(f"duration must be finite and positive, got {self.duration}")
 
     def apriori_rate(self) -> float:
         return self.source.apriori_rate(self.er)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import helpers
 from spadrate.cli import cli
 
 
@@ -56,6 +57,22 @@ def test_simulate_reproducible_from_manifest(runner, tmp_path):
 def test_simulate_zero_events_is_usage_error(runner, tmp_path):
     result = runner.invoke(cli, _simulate_args(tmp_path / "x.csv", events=0))
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ri", "nan"), ("--ri", "inf"), ("--dark", "nan"), ("--tau-d", "nan"),
+    ("--tau-r", "inf"), ("--tau-p1", "nan"), ("--events", "nan"), ("--events", "inf"),
+])
+def test_simulate_non_finite_input_is_usage_error(runner, tmp_path, flag, value):
+    result = runner.invoke(cli, _simulate_args(tmp_path / "x.csv", extra=[flag, value]))
+    assert result.exit_code == 2, result.output
+
+
+def test_simulate_non_finite_duration_is_usage_error(runner, tmp_path):
+    result = runner.invoke(
+        cli, ["simulate", "--ri", "5.23e8", "--duration", "nan", "--out", str(tmp_path / "x.csv")]
+    )
+    assert result.exit_code == 2, result.output
 
 
 def test_simulate_requires_one_stop(runner, tmp_path):
@@ -124,6 +141,23 @@ def test_fit_bad_assignment_is_usage_error(runner, tmp_path):
     hist.write_text("bin_left_s,count\n0,1\n1e-9,2\n")
     result = runner.invoke(cli, ["fit", str(hist), "--fix", "tau_d"])
     assert result.exit_code == 2
+
+
+def test_fit_non_finite_assignment_is_usage_error(runner, tmp_path):
+    hist = tmp_path / "h.csv"
+    hist.write_text("bin_left_s,count\n0,1\n1e-9,2\n")
+    result = runner.invoke(cli, ["fit", str(hist), "--fix", "tau_d=nan"])
+    assert result.exit_code == 2
+
+
+def test_fit_dead_time_above_populated_bins_is_fit_error(runner, tmp_path):
+    hist = tmp_path / "h.csv"
+    helpers.multinomial_interval_hist(1e8, helpers.PAPER, 20_000, seed=1).to_csv(hist)
+    result = runner.invoke(
+        cli, ["fit", str(hist), "--fix", "tau_d=90e-6", "--out", str(tmp_path / "fit.json")]
+    )
+    assert result.exit_code == 3
+    assert "zero expected count" in result.output
 
 
 def test_infer_command(runner, tmp_path):

@@ -100,14 +100,56 @@ def test_fit_rejects_degenerate_histograms():
         inference.fit_er_histogram(inference.IntervalHistogram(bin_width=1e-9, counts=single))
 
 
-def test_fit_recovers_parameters_quickly(paper_params):
-    hist = helpers.multinomial_interval_hist(1e7, paper_params, 1_000_000, seed=300)
+@pytest.mark.parametrize("bin_width", [1e-9, 20e-9], ids=["1ns", "20ns"])
+def test_fit_recovers_parameters_quickly(paper_params, bin_width):
+    # 20 ns is wider than tau_r / 10: the exact bin mass must hold there too
+    hist = helpers.multinomial_interval_hist(1e7, paper_params, 1_000_000, seed=300,
+                                             bin_width=bin_width)
     res = inference.fit_er_histogram(hist)
     assert res.r_star == pytest.approx(1e7, rel=5e-3)
     assert abs(res.tau_d - paper_params.tau_d) < 2e-9
     assert res.tau_r == pytest.approx(paper_params.tau_r, rel=0.02)
     assert res.goodness < 2.0
     assert set(res.uncertainties) == {"r_star", "tau_d", "tau_r", "scale"}
+
+
+@pytest.mark.parametrize("seed, bin_width", [(310, 1e-9), (311, 1e-9), (312, 20e-9)])
+def test_goodness_is_near_one_for_correct_model(paper_params, seed, bin_width):
+    # deviance per degree of freedom of the support span, not of every bin
+    hist = helpers.multinomial_interval_hist(1e7, paper_params, 1_000_000, seed=seed,
+                                             bin_width=bin_width)
+    res = inference.fit_er_histogram(hist)
+    assert 0.5 < res.goodness < 1.5
+
+
+@pytest.mark.parametrize("factor", [30.0, 1.0 / 30.0], ids=["x30", "div30"])
+def test_fit_from_far_tau_r_start_matches_default(paper_params, factor):
+    hist = helpers.multinomial_interval_hist(1e7, paper_params, 1_000_000, seed=313)
+    ref = inference.fit_er_histogram(hist)
+    far = inference.fit_er_histogram(hist, init={"tau_r": factor * paper_params.tau_r})
+    for name in ("r_star", "tau_d", "tau_r", "scale"):
+        assert getattr(far, name) == pytest.approx(getattr(ref, name), rel=1e-6)
+
+
+def test_fit_pulls_are_calibrated(paper_params):
+    truth = {"r_star": 1e7, "tau_d": paper_params.tau_d, "tau_r": paper_params.tau_r}
+    pulls = {name: [] for name in truth}
+    for seed in range(400, 430):
+        hist = helpers.multinomial_interval_hist(1e7, paper_params, 1_000_000, seed=seed)
+        res = inference.fit_er_histogram(hist)
+        for name, value in truth.items():
+            pulls[name].append((getattr(res, name) - value) / res.uncertainties[name])
+    for name, z in pulls.items():
+        assert abs(np.mean(z)) < 0.6, (name, np.mean(z))
+        assert 0.6 <= np.std(z, ddof=1) <= 1.5, (name, np.std(z, ddof=1))
+
+
+def test_expected_counts_sum_to_scaled_total(paper_params):
+    hist = helpers.multinomial_interval_hist(1e7, paper_params, 100_000, seed=314)
+    mu = inference.expected_counts(hist, 1e7, paper_params.tau_d, paper_params.tau_r, 0.5)
+    assert mu.shape == hist.counts.shape
+    assert np.all(mu[: int(paper_params.tau_d / hist.bin_width)] == 0.0)
+    assert mu.sum() == pytest.approx(0.5 * hist.total, rel=1e-9)
 
 
 def test_scale_only_fit_is_unbiased(paper_params):
