@@ -98,6 +98,23 @@ def _validated(builder, *args, **kwargs):
         raise click.UsageError(str(exc))
 
 
+class _FiniteFloat(click.FloatRange):
+    """A float flag that must be finite and inside the given range (else exit 2)."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not np.isfinite(number):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return number
+
+
+_FINITE = _FiniteFloat()
+_NON_NEGATIVE = _FiniteFloat(min=0)
+_POSITIVE = _FiniteFloat(min=0, min_open=True)
+
+
 def _detector_options(f):
     f = click.option("--tau-r", type=float, default=112.5e-9, show_default=True,
                      help="Efficiency recovery time constant [s].")(f)
@@ -178,9 +195,9 @@ def cmd_simulate(ctx, **kw):
 
 @cli.command(name="hist")
 @click.argument("timestamps", type=click.Path())
-@click.option("--bin-width", type=float, default=1e-9, show_default=True,
+@click.option("--bin-width", type=_POSITIVE, default=1e-9, show_default=True,
               help="Histogram bin width [s].")
-@click.option("--range", "bounds", type=float, nargs=2, default=None,
+@click.option("--range", "bounds", type=_FINITE, nargs=2, default=None,
               help="Keep intervals in [LO, HI); outside goes to the overflow tally.")
 @click.option("--out", type=click.Path(), default=None,
               help="Output CSV path [default: histogram.csv].")
@@ -227,9 +244,9 @@ def _parse_assignments(pairs, what: str) -> dict[str, float]:
               help="Hold a parameter fixed (r_star, tau_d, tau_r, scale); repeatable.")
 @click.option("--init", "init", multiple=True, metavar="NAME=VALUE",
               help="Override an initial guess; repeatable.")
-@click.option("--ri", type=float, default=None,
+@click.option("--ri", type=_POSITIVE, default=None,
               help="Calibrated photon rate [1/s]; enables eta0 recovery.")
-@click.option("--dark", type=float, default=0.0, show_default=True,
+@click.option("--dark", type=_NON_NEGATIVE, default=0.0, show_default=True,
               help="A priori dark-count rate [1/s], subtracted before eta0 recovery.")
 @click.option("--out", type=click.Path(), default=None,
               help="Fit result JSON [default: fit.json].")
@@ -278,10 +295,10 @@ def cmd_fit(ctx, histogram, fix, init, ri, dark, out, curve):
 
 @cli.command(name="infer")
 @_detector_options
-@click.option("--rate", type=float, required=True, help="Measured detection rate [1/s].")
+@click.option("--rate", type=_POSITIVE, required=True, help="Measured detection rate [1/s].")
 @click.option("--model", type=click.Choice(["simple", "er", "low", "high"]),
               default="er", show_default=True, help="Rate equation to invert.")
-@click.option("--dark", type=float, default=0.0, show_default=True,
+@click.option("--dark", type=_NON_NEGATIVE, default=0.0, show_default=True,
               help="A priori dark-count rate [1/s] to subtract.")
 @click.option("--out", type=click.Path(), default=None,
               help="Report JSON [default: infer.json].")
@@ -318,9 +335,9 @@ def cmd_infer(ctx, eta0, tau_d, tau_r, rate, model, dark, out):
 
 @cli.command(name="tabulate")
 @_detector_options
-@click.option("--from", "sweep_from", type=float, required=True,
+@click.option("--from", "sweep_from", type=_POSITIVE, required=True,
               help="Sweep start: a priori rate [1/s].")
-@click.option("--to", "sweep_to", type=float, required=True,
+@click.option("--to", "sweep_to", type=_POSITIVE, required=True,
               help="Sweep end: a priori rate [1/s].")
 @click.option("--points", type=int, default=25, show_default=True,
               help="Number of log-spaced sweep points.")
@@ -337,8 +354,8 @@ def cmd_infer(ctx, eta0, tau_d, tau_r, rate, model, dark, out):
 def cmd_tabulate(ctx, eta0, tau_d, tau_r, sweep_from, sweep_to, points, model,
                  tau_p1, tau_p2, out):
     """Tabulate (a priori rate, mean on-time, measured rate) curves."""
-    if sweep_from <= 0 or sweep_to < sweep_from:
-        raise click.UsageError("sweep bounds must satisfy 0 < from <= to")
+    if sweep_to < sweep_from:
+        raise click.UsageError("sweep bounds must satisfy from <= to")
     if points < 1:
         raise click.UsageError("--points must be at least 1")
     if (tau_p1 > 0 or tau_p2 > 0) and model != "er":

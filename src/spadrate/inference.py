@@ -56,8 +56,8 @@ class IntervalHistogram:
     overflow: int = 0
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ValueError(f"bin_width must be positive, got {self.bin_width}")
+        if not 0 < self.bin_width < np.inf:
+            raise ValueError(f"bin_width must be finite and positive, got {self.bin_width}")
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
@@ -122,16 +122,16 @@ def build_histogram(
     [lo, hi) go to the overflow tally.  Without bounds, everything at or
     above ``origin`` is kept and the bin array extends to the maximum.
     """
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    if not 0 < bin_width < np.inf:
+        raise ValueError(f"bin_width must be finite and positive, got {bin_width}")
     values = np.asarray(intervals, dtype=float)
     if values.size == 0:
         return IntervalHistogram(bin_width=bin_width, counts=np.zeros(0, dtype=np.int64),
                                  origin=bounds[0] if bounds else origin)
     if bounds is not None:
         lo, hi = bounds
-        if hi <= lo:
-            raise ValueError("bounds must satisfy lo < hi")
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"bounds must be finite with lo < hi, got {bounds}")
         origin = lo
         n_bins = int(np.ceil((hi - lo) / bin_width - 1e-12))
     else:
@@ -431,6 +431,8 @@ def infer_apriori_rate(
         kind = _MODEL_ALIASES[model]
     except KeyError:
         raise ValueError(f"unknown model {model!r}; choose from {sorted(set(_MODEL_ALIASES))}")
+    if not 0 <= dark_apriori < np.inf:
+        raise ValueError(f"dark rate must be finite and non-negative, got {dark_apriori}")
     if kind == "simple":
         total = nhpp.simple_rate_inverse(r_measured, params.tau_d)
     elif kind == "er":

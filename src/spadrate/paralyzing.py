@@ -83,10 +83,12 @@ def mean_paralyzation_count(p_p: float) -> float:
 def paralyzing_mean_on_time(pp: ParalyzingParams, r_star: float, tau_r: float) -> float:
     """Mean time between dead-time end and the next registered detection."""
     base = er.er_mean_on_time(r_star, tau_r)
-    p = paralyzation_prob(pp, r_star, tau_r)
-    if p == 0.0:
+    hazard = er.er_cumulative_hazard(pp.tau_p1, r_star, tau_r)
+    if hazard == 0.0:
         return base
-    return base + mean_paralyzation_count(p) * mean_single_prolongation(pp, r_star, tau_r)
+    # p/(1-p) with p = 1 - exp(-hazard) is exactly expm1(hazard); forming
+    # 1 - p instead loses digits as p -> 1
+    return base + float(np.expm1(hazard)) * mean_single_prolongation(pp, r_star, tau_r)
 
 
 @dataclass(frozen=True)
@@ -120,56 +122,45 @@ def fit_paralyzing(
     weights = weights / weights.max()
     sqrt_w = np.sqrt(weights)
 
-    # The recovery-only mean does not depend on the fit parameters.
-    base = np.array([er.er_mean_on_time(rs, params.tau_r) for rs in r_stars])
+    # Fitted in units of tau_r: in seconds the bound-scaled gradient test
+    # fires while the gradient is still far from zero, short of the minimum.
+    tau_r = params.tau_r
 
-    def model(x):
-        tau_p1, tau_p2 = x
-        pp = ParalyzingParams(tau_p1=tau_p1, tau_p2=tau_p2)
-        out = np.empty_like(base)
-        for i, rs in enumerate(r_stars):
-            p = paralyzation_prob(pp, rs, params.tau_r)
-            if p == 0.0:
-                out[i] = base[i]
-            else:
-                out[i] = base[i] + mean_paralyzation_count(p) * (
-                    mean_conditional_on_time(pp, rs, params.tau_r) + tau_p2
-                )
-        return out
-
-    def residuals(x):
-        return sqrt_w * (model(x) - means)
+    def residuals(y):
+        pp = ParalyzingParams(tau_p1=y[0] * tau_r, tau_p2=y[1] * tau_r)
+        model = np.array([paralyzing_mean_on_time(pp, rs, tau_r) for rs in r_stars])
+        return sqrt_w * (model - means) / tau_r
 
     x0 = (
         np.array([init.tau_p1, init.tau_p2])
         if init is not None
-        else np.array([params.tau_r / 10.0, params.tau_r / 10.0])
+        else np.array([tau_r / 10.0, tau_r / 10.0])
     )
     res = optimize.least_squares(
         residuals,
-        x0,
+        x0 / tau_r,
         bounds=(np.zeros(2), np.full(2, np.inf)),
         method="trf",
-        diff_step=1e-6,
         xtol=1e-14,
         ftol=1e-14,
         gtol=1e-14,
     )
+    tau_p = res.x * tau_r
     if not res.success:
         raise FitError(
             f"paralyzing fit did not converge: {res.message}",
-            details={"residuals": res.fun.tolist(), "x": res.x.tolist()},
+            details={"residuals": (res.fun * tau_r).tolist(), "x": tau_p.tolist()},
         )
     dof = max(len(means) - 2, 1)
     s2 = 2.0 * res.cost / dof
     try:
         cov = np.linalg.inv(res.jac.T @ res.jac) * s2
-        stderr = tuple(np.sqrt(np.maximum(np.diag(cov), 0.0)))
+        stderr = tau_r * np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         stderr = (np.nan, np.nan)
     return ParalyzingFit(
-        params=ParalyzingParams(tau_p1=float(res.x[0]), tau_p2=float(res.x[1])),
+        params=ParalyzingParams(tau_p1=float(tau_p[0]), tau_p2=float(tau_p[1])),
         stderr=(float(stderr[0]), float(stderr[1])),
-        cost=float(res.cost),
+        cost=float(res.cost * tau_r**2),
         n_points=len(means),
     )

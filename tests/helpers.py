@@ -46,6 +46,42 @@ def mean_via_survival(r_star: float, tau_r: float) -> float:
     return total
 
 
+def mp_mean_on_time(r_star: float, tau_r: float, dps: int = 40) -> float:
+    """Mean on-time tau_r e^a a^-a gamma(a, a), a = r_star * tau_r, in mpmath.
+
+    Callers skip unless mpmath is installed; its gammainc does not
+    converge near a = 1e8, so stay at a <= 1e6.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        tau_r = mpmath.mpf(tau_r)
+        a = mpmath.mpf(r_star) * tau_r
+        return float(tau_r * mpmath.exp(a) * a ** (-a) * mpmath.gammainc(a, 0, a))
+
+
+def mp_paralyzing_mean_on_time(r_star: float, tau_r: float, tau_p1: float, tau_p2: float,
+                               dps: int = 40) -> float:
+    """Recovery mean plus p/(1-p) prolongations of (conditional time + tau_p2), in mpmath.
+
+    The conditional numerator is int_0^p1 S - p1 S(p1), so only the
+    survival function S is integrated.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        r, tr, p1, p2 = (mpmath.mpf(v) for v in (r_star, tau_r, tau_p1, tau_p2))
+
+        def survival(t):
+            return mpmath.exp(-r * (t + tr * mpmath.expm1(-t / tr)))
+
+        s1 = survival(p1)
+        p = 1 - s1
+        conditional = (mpmath.quad(survival, [0, p1]) - p1 * s1) / p
+        prolongation = float(p / (1 - p) * (conditional + p2))
+    return mp_mean_on_time(r_star, tau_r, dps) + prolongation
+
+
 def integrate_pdf(r_star: float, tau_r: float) -> float:
     """Total probability mass of the ER pdf, with the tail taken from the ccdf."""
     points = [0.0] + [hazard_time(r_star, tau_r, h)

@@ -179,6 +179,26 @@ def test_infer_saturation_exit_code(runner, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["infer", "--rate", "1e3", "--dark", "nan"],
+    ["infer", "--rate", "1e3", "--dark", "inf"],
+    ["infer", "--rate", "1e3", "--dark", "-5"],
+    ["infer", "--rate", "nan"],
+    ["infer", "--rate", "-1e3"],
+    ["tabulate", "--from", "1e3", "--to", "inf"],
+    ["tabulate", "--from", "nan", "--to", "1e6"],
+    ["fit", "h.csv", "--ri", "5.23e8", "--dark", "nan"],
+    ["fit", "h.csv", "--ri", "nan"],
+    ["fit", "h.csv", "--ri", "-1"],
+    ["hist", "ts.csv", "--bin-width", "nan"],
+    ["hist", "ts.csv", "--bin-width", "inf"],
+    ["hist", "ts.csv", "--range", "0", "nan"],
+], ids="_".join)
+def test_non_finite_or_out_of_domain_flag_is_usage_error(runner, tmp_path, args):
+    result = runner.invoke(cli, [*args, "--out", str(tmp_path / "x.out")])
+    assert result.exit_code == 2, result.output
+
+
 def test_invalid_detector_parameters_are_usage_errors(runner, tmp_path):
     result = runner.invoke(
         cli, ["infer", "--eta0", "2.0", "--rate", "1e3", "--out", str(tmp_path / "x.json")]

@@ -220,6 +220,28 @@ def test_pdf_against_simple_model_crossover():
     assert np.all(np.abs(ratio - 1.0) < 1e-3)
 
 
+@pytest.mark.parametrize("a", [10.0**k for k in np.arange(-8.0, 6.5, 0.5)]
+                         + [19.99, 20.0, 20.01])
+def test_mean_matches_mpmath_oracle(a):
+    pytest.importorskip("mpmath")
+    r_star = a / TAU_R
+    exact = helpers.mp_mean_on_time(r_star, TAU_R)
+    assert abs(er.er_mean_on_time(r_star, TAU_R) / exact - 1) < 1e-13
+
+
+@pytest.mark.parametrize("a", [1e7, 1e8])
+def test_mean_beyond_oracle_range_follows_high_rate_expansion(a):
+    # the two-term expansion's relative error is O(1/a)
+    r_star = a / TAU_R
+    assert abs(er.er_mean_on_time(r_star, TAU_R) / er.approx_high_mean(r_star, TAU_R) - 1) < 1 / a
+
+
+@pytest.mark.parametrize("r_star", [0.0, -1.0, np.nan, np.inf])
+def test_mean_rejects_non_positive_or_non_finite_rate(r_star):
+    with pytest.raises(ValueError):
+        er.er_mean_on_time(r_star, TAU_R)
+
+
 def test_er_rate_forward_low_rate(paper_params):
     assert er.er_rate_forward(1.0, paper_params) == pytest.approx(1.0, rel=1e-3)
 
@@ -248,6 +270,19 @@ def test_er_rate_inverse_round_trip(paper_params):
     r_star = er.er_rate_inverse(r, paper_params)
     assert np.isfinite(r_star)
     assert er.er_rate_forward(r_star, paper_params) == pytest.approx(r, rel=1e-8)
+
+
+@pytest.mark.parametrize("a", np.logspace(-8, 8, 17))
+def test_er_rate_inverse_round_trip_over_full_range(paper_params, a):
+    r_star = a / paper_params.tau_r
+    r = er.er_rate_forward(r_star, paper_params)
+    assert er.er_rate_inverse(r, paper_params) == pytest.approx(r_star, rel=1e-8)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, np.nan, np.inf])
+def test_er_rate_inverse_rejects_non_positive_or_non_finite_rate(paper_params, r):
+    with pytest.raises(ValueError):
+        er.er_rate_inverse(r, paper_params)
 
 
 def test_er_rate_inverse_matches_simple_at_low_rate(paper_params):

@@ -44,6 +44,17 @@ def test_build_histogram_rejects_bad_width():
         inference.build_histogram([1.0], 0.0)
 
 
+@pytest.mark.parametrize("bin_width, bounds", [
+    (np.nan, None), (np.inf, None), (1.0, (0.0, np.nan)), (1.0, (-np.inf, 3.0)),
+])
+def test_build_histogram_rejects_non_finite_width_or_bounds(bin_width, bounds):
+    with pytest.raises(ValueError):
+        inference.build_histogram([1.5, 2.5], bin_width, bounds=bounds)
+    if bounds is None:
+        with pytest.raises(ValueError):
+            inference.IntervalHistogram(bin_width=bin_width, counts=[1, 2])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=50))
 def test_histogram_conserves_counts(values):
@@ -254,6 +265,12 @@ def test_infer_clips_negative_photon_rate(paper_params):
     out = inference.infer_apriori_rate(r, paper_params, dark_apriori=858.0, model="er")
     assert out.clipped
     assert out.photon_apriori == 0.0
+
+
+@pytest.mark.parametrize("dark", [np.nan, np.inf, -5.0])
+def test_infer_rejects_non_finite_or_negative_dark_rate(paper_params, dark):
+    with pytest.raises(ValueError):
+        inference.infer_apriori_rate(1e3, paper_params, dark_apriori=dark)
 
 
 def test_infer_model_aliases(paper_params):

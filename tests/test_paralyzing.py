@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import helpers
 from spadrate import er, simulate
 from spadrate.paralyzing import (
     ParalyzingParams,
@@ -117,6 +118,13 @@ def test_paralyzing_mean_dominates_er_mean(r_star):
     assert paralyzing_mean_on_time(PP, r_star, TAU_R) >= er.er_mean_on_time(r_star, TAU_R)
 
 
+@pytest.mark.parametrize("r_star", np.logspace(7.5, 10.5, 22))
+def test_paralyzing_mean_matches_mpmath_oracle(r_star):
+    pytest.importorskip("mpmath")
+    exact = helpers.mp_paralyzing_mean_on_time(r_star, TAU_R, PP.tau_p1, PP.tau_p2)
+    assert paralyzing_mean_on_time(PP, r_star, TAU_R) == pytest.approx(exact, rel=1e-12)
+
+
 def test_conditional_mean_below_window():
     for r_star in (1e7, 1e8, 1e9, 1e10):
         assert mean_conditional_on_time(PP, r_star, TAU_R) < PP.tau_p1
@@ -182,6 +190,27 @@ def test_fit_recovers_noisy_curve_within_three_sigma():
     sigma = estimates.std(axis=0, ddof=1)
     truth = np.array([PP.tau_p1, PP.tau_p2])
     assert np.all(np.abs(estimates - truth) < 3 * (sigma + 1e-15))
+
+
+def test_fit_reaches_minimum_on_simulated_ladder():
+    # (r_star, mean on-time) of a simulated rollover ladder on which a fit
+    # posed in seconds stopped 27% low in tau_p2, short of the minimum
+    det = er.ErParams(eta0=0.19117, tau_d=1e-6, tau_r=TAU_R)
+    points = [
+        (1e8, 5.301887683357979e-08),
+        (157605860.01492402, 4.5954297232954304e-08),
+        (248396071.1104373, 4.2886245279027575e-08),
+        (391486764.116887, 4.43213867031265e-08),
+        (617006081.4310142, 5.3474800867201314e-08),
+        (972437740.9837325, 7.680732012058522e-08),
+        (1532618864.7871046, 1.3723012941640726e-07),
+        (2415497142.598682, 3.32978566656571e-07),
+        (3806965045.2285533, 1.2617363885596148e-06),
+        (6000000000.000003, 9.99276129619729e-06),
+    ]
+    fit = fit_paralyzing(points, det)
+    assert fit.params.tau_p1 == pytest.approx(PP.tau_p1, rel=0.1)
+    assert fit.params.tau_p2 == pytest.approx(PP.tau_p2, rel=0.1)
 
 
 def test_fit_needs_three_points():
