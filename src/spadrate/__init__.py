@@ -13,7 +13,6 @@ from .er import (
 from .exceptions import DegenerateDataError, FitError, IntegrationError, SaturationError
 from .nhpp import (
     EfficiencyProfile,
-    RatePair,
     constant_profile,
     invert_rate,
     mean_on_time,

@@ -54,7 +54,8 @@ def _load_config(ctx: click.Context, config_path: str | None, values: dict) -> d
     """Overlay JSON config onto defaulted parameters (explicit flags win).
 
     Accepts either a bare config object or a manifest with a "config" key,
-    so a previous run's manifest reproduces it directly.
+    so a previous run's manifest reproduces it directly.  Values go through
+    their option's click type; null is allowed only where the default is None.
     """
     if not config_path:
         return values
@@ -68,10 +69,15 @@ def _load_config(ctx: click.Context, config_path: str | None, values: dict) -> d
     unknown = set(data) - set(values)
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
+    options = {param.name: param for param in ctx.command.params}
     for key, val in data.items():
-        source = ctx.get_parameter_source(key)
-        if source in (click.core.ParameterSource.DEFAULT, None):
-            values[key] = val
+        if ctx.get_parameter_source(key) not in (click.core.ParameterSource.DEFAULT, None):
+            continue
+        option = options[key]
+        if val is None and option.default is not None:
+            raise click.BadParameter("may not be null", ctx=ctx, param=option)
+        # via str: click's INT would silently truncate the float 1.5 to 1
+        values[key] = None if val is None else option.type_cast_value(ctx, str(val))
     return values
 
 

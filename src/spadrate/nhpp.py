@@ -27,7 +27,6 @@ from .exceptions import IntegrationError, SaturationError
 
 __all__ = [
     "EfficiencyProfile",
-    "RatePair",
     "constant_profile",
     "profile_from_efficiency",
     "nhpp_ccdf",
@@ -56,20 +55,6 @@ class EfficiencyProfile:
 
     efficiency: Callable
     cumulative: Callable
-
-
-@dataclass(frozen=True)
-class RatePair:
-    """An a priori detection rate together with the rate actually measured."""
-
-    apriori: float
-    measured: float
-
-    def __post_init__(self):
-        if self.apriori < 0 or self.measured < 0:
-            raise ValueError("rates must be non-negative")
-        if self.measured > self.apriori * (1 + 1e-12):
-            raise ValueError("measured rate cannot exceed the a priori rate")
 
 
 def constant_profile(eta0: float) -> EfficiencyProfile:
@@ -183,11 +168,11 @@ def _quad_segments(f: Callable, points: list[float], epsrel: float) -> float:
     return total
 
 
-def mean_on_time(profile: EfficiencyProfile, r_i: float, *, rtol: float = 1e-9) -> float:
-    """Mean detector-on time, integral of t * pdf(t) over [0, inf).
+def mean_on_time(profile: EfficiencyProfile, r_i: float) -> float:
+    """Mean detector-on time, integral of t * pdf(t) over [0, inf), to ~1e-9 relative.
 
     Integrated piecewise between survival-quantile breakpoints with the
-    tail beyond hazard 45 dropped (bounded well below ``rtol``).
+    tail beyond hazard 45 dropped (bounded well below the target).
     """
     if r_i <= 0:
         raise ValueError("mean detector-on time diverges for non-positive rate")
@@ -195,7 +180,7 @@ def mean_on_time(profile: EfficiencyProfile, r_i: float, *, rtol: float = 1e-9) 
     f = lambda t: t * r_i * profile.efficiency(t) * np.exp(-r_i * profile.cumulative(t))
     # per-segment relative errors add up over the quantile segments, so
     # integrate each one an order tighter than the overall target
-    return _quad_segments(f, points, epsrel=max(rtol / 10.0, 1e-13))
+    return _quad_segments(f, points, epsrel=1e-10)
 
 
 def rate_forward(mean_on: float, tau_d: float) -> float:
@@ -227,7 +212,6 @@ def invert_rate(
     *,
     bracket: tuple[float, float] | None = None,
     saturation: float | None = None,
-    rtol: float = 1e-10,
 ) -> float:
     """Invert a strictly increasing a-priori-to-measured rate map.
 
@@ -265,7 +249,7 @@ def invert_rate(
         lo,
         hi,
         xtol=np.finfo(float).tiny,
-        rtol=max(rtol * 1e-2, 4 * np.finfo(float).eps),
+        rtol=1e-12,
         maxiter=300,
     )
     return float(root)

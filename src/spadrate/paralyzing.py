@@ -5,6 +5,10 @@ low to trip the latching circuit.  Such an event produces no timestamp but
 still quenches the diode, extending the insensitive period.  The extension
 is modeled at mean level only: no probability density is claimed for the
 paralyzing case.
+
+The mean needs one integral, the conditional numerator N of t * pdf(t)
+over [0, tau_p1], taken with a fixed Gauss-Legendre rule.  With H the
+hazard over the window, the mean is <t>_er + e^H * N + expm1(H) * tau_p2.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize, special
 
 from . import er
 from .exceptions import FitError
@@ -23,7 +27,6 @@ __all__ = [
     "paralyzation_prob",
     "mean_conditional_on_time",
     "mean_single_prolongation",
-    "mean_paralyzation_count",
     "paralyzing_mean_on_time",
     "fit_paralyzing",
 ]
@@ -48,8 +51,27 @@ def paralyzation_prob(pp: ParalyzingParams, r_star: float, tau_r: float) -> floa
     return float(er.er_cdf(pp.tau_p1, r_star, tau_r))
 
 
+_GL_X, _GL_W = special.roots_legendre(48)
+
+
+def _conditional_numerator(tau_p1: float, r_star: float, tau_r: float) -> float:
+    """Integral of t * pdf(t) over [0, tau_p1] by 48-point Gauss-Legendre panels.
+
+    The window ends where the hazard reaches 50, x50 = c + W0(-e^-c) with
+    c = 1 + 50 / (r_star * tau_r) in units of tau_r, dropping below
+    (end/<t> + 1) e^-50 of the mass.  Panels split at 40 tau_r resolve the
+    recovery knee however long the window is.
+    """
+    c = 1.0 + 50.0 / (r_star * tau_r)
+    end = min(tau_p1, tau_r * (c + special.lambertw(-np.exp(-c)).real))
+    knee = min(end, 40.0 * tau_r)
+    half = 0.5 * np.array([[knee], [end - knee]])
+    t = np.array([[0.0], [knee]]) + half * (_GL_X + 1.0)
+    return float(np.sum(half * _GL_W * t * er.er_pdf(t, r_star, tau_r)))
+
+
 def mean_conditional_on_time(pp: ParalyzingParams, r_star: float, tau_r: float) -> float:
-    """Mean avalanche time given that it happened before tau_p1.
+    """Mean avalanche time given that it happened before tau_p1, N / p.
 
     Always strictly below tau_p1; approaches (2/3) tau_p1 when the hazard
     accumulated over the window is small (linear-density limit).
@@ -57,15 +79,7 @@ def mean_conditional_on_time(pp: ParalyzingParams, r_star: float, tau_r: float) 
     p = paralyzation_prob(pp, r_star, tau_r)
     if p <= 0.0:
         raise ValueError("conditional on-time undefined: paralyzation probability is zero")
-    num, err = integrate.quad(
-        lambda t: t * er.er_pdf(t, r_star, tau_r),
-        0.0,
-        pp.tau_p1,
-        epsabs=0.0,
-        epsrel=1e-11,
-        limit=200,
-    )
-    return num / p
+    return _conditional_numerator(pp.tau_p1, r_star, tau_r) / p
 
 
 def mean_single_prolongation(pp: ParalyzingParams, r_star: float, tau_r: float) -> float:
@@ -73,22 +87,14 @@ def mean_single_prolongation(pp: ParalyzingParams, r_star: float, tau_r: float) 
     return mean_conditional_on_time(pp, r_star, tau_r) + pp.tau_p2
 
 
-def mean_paralyzation_count(p_p: float) -> float:
-    """Mean of the geometric number of consecutive paralyzations, p/(1-p)."""
-    if not 0.0 <= p_p < 1.0:
-        raise ValueError(f"paralyzation probability must be in [0, 1), got {p_p}")
-    return p_p / (1.0 - p_p)
-
-
 def paralyzing_mean_on_time(pp: ParalyzingParams, r_star: float, tau_r: float) -> float:
     """Mean time between dead-time end and the next registered detection."""
     base = er.er_mean_on_time(r_star, tau_r)
     hazard = er.er_cumulative_hazard(pp.tau_p1, r_star, tau_r)
-    if hazard == 0.0:
-        return base
-    # p/(1-p) with p = 1 - exp(-hazard) is exactly expm1(hazard); forming
-    # 1 - p instead loses digits as p -> 1
-    return base + float(np.expm1(hazard)) * mean_single_prolongation(pp, r_star, tau_r)
+    # expm1(H) = p/(1-p) prolongations of N/p + tau_p2 each; expm1(H)/p = e^H,
+    # so neither p nor 1 - p (which loses digits as p -> 1) is formed
+    numerator = _conditional_numerator(pp.tau_p1, r_star, tau_r)
+    return base + float(np.exp(hazard) * numerator + np.expm1(hazard) * pp.tau_p2)
 
 
 @dataclass(frozen=True)

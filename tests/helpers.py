@@ -60,26 +60,62 @@ def mp_mean_on_time(r_star: float, tau_r: float, dps: int = 40) -> float:
         return float(tau_r * mpmath.exp(a) * a ** (-a) * mpmath.gammainc(a, 0, a))
 
 
+def _window_points(r_star: float, tau_r: float, tau_p1: float) -> list[float]:
+    """Breakpoints on [0, tau_p1] at hazard levels and at decades of tau_r.
+
+    Without the hazard levels mpmath.quad misjudges windows holding a
+    large hazard.  The window is cut at hazard 120, beyond which the mass
+    (e^-120 ~ 8e-53) is below 40 digits.
+    """
+    levels = (0.05, 0.25, 1.0, 3.0, 8.0, 16.0, 30.0, 45.0, 70.0, 120.0)
+    knots = [hazard_time(r_star, tau_r, h) for h in levels]
+    end = min(tau_p1, knots[-1])
+    knots += [tau_r * 10.0**k for k in range(-2, 5)]
+    return [0.0] + sorted(t for t in set(knots) if t < end) + [end]
+
+
 def mp_paralyzing_mean_on_time(r_star: float, tau_r: float, tau_p1: float, tau_p2: float,
                                dps: int = 40) -> float:
     """Recovery mean plus p/(1-p) prolongations of (conditional time + tau_p2), in mpmath.
 
     The conditional numerator is int_0^p1 S - p1 S(p1), so only the
-    survival function S is integrated.
+    survival function S is integrated.  p/(1-p) is taken as expm1(H(p1)):
+    1 - p underflows at 40 digits once H(p1) exceeds ~90.
     """
     import mpmath
 
     with mpmath.workdps(dps):
         r, tr, p1, p2 = (mpmath.mpf(v) for v in (r_star, tau_r, tau_p1, tau_p2))
 
-        def survival(t):
-            return mpmath.exp(-r * (t + tr * mpmath.expm1(-t / tr)))
+        def hazard(t):
+            return r * (t + tr * mpmath.expm1(-t / tr))
 
-        s1 = survival(p1)
-        p = 1 - s1
-        conditional = (mpmath.quad(survival, [0, p1]) - p1 * s1) / p
-        prolongation = float(p / (1 - p) * (conditional + p2))
+        points = [mpmath.mpf(t) for t in _window_points(r_star, tau_r, tau_p1)]
+        s1 = mpmath.exp(-hazard(p1))
+        conditional = (mpmath.quad(lambda t: mpmath.exp(-hazard(t)), points) - p1 * s1) / (1 - s1)
+        prolongation = float(mpmath.expm1(hazard(p1)) * (conditional + p2))
     return mp_mean_on_time(r_star, tau_r, dps) + prolongation
+
+
+def mp_conditional_mean(r_star: float, tau_r: float, tau_p1: float, dps: int = 40) -> float:
+    """Mean avalanche time given one before tau_p1, int_0^p1 t pdf(t) dt / p, in mpmath.
+
+    Integrates t * pdf itself: the survival form of the numerator cancels
+    when the window holds little hazard.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        r, tr, p1 = (mpmath.mpf(v) for v in (r_star, tau_r, tau_p1))
+
+        def hazard(t):
+            return r * (t + tr * mpmath.expm1(-t / tr))
+
+        def t_pdf(t):
+            return t * r * -mpmath.expm1(-t / tr) * mpmath.exp(-hazard(t))
+
+        points = [mpmath.mpf(t) for t in _window_points(r_star, tau_r, tau_p1)]
+        return float(mpmath.quad(t_pdf, points) / -mpmath.expm1(-hazard(p1)))
 
 
 def integrate_pdf(r_star: float, tau_r: float) -> float:

@@ -215,6 +215,28 @@ def test_config_with_unknown_keys_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "override, exit_code",
+    [
+        ({"seed": 1.5}, 2),
+        ({"fmt": "xml"}, 2),
+        ({"tau_r": None}, 2),
+        ({"ri": "5e8"}, 0),
+        ({"events": "100"}, 0),
+        ({"duration": None}, 0),
+    ],
+)
+def test_config_values_go_through_option_types(runner, tmp_path, override, exit_code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ri": 5.23e8, "events": 200, "seed": 3, **override}))
+    out = tmp_path / "x.csv"
+    result = runner.invoke(cli, ["simulate", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == exit_code, result.output
+    if exit_code == 0:
+        expected = int(float(override.get("events", 200)))
+        assert np.loadtxt(out).size == expected
+
+
 def test_infer_simple_vs_er_gap(runner, tmp_path):
     out_simple = tmp_path / "s.json"
     out_er = tmp_path / "e.json"

@@ -183,11 +183,3 @@ def test_mean_decreasing_and_rate_increasing(rt, step):
     assert m_hi < m_lo
     tau_d = 1e-6
     assert nhpp.rate_forward(m_hi, tau_d) > nhpp.rate_forward(m_lo, tau_d)
-
-
-def test_rate_pair_validation():
-    nhpp.RatePair(apriori=100.0, measured=99.0)
-    with pytest.raises(ValueError):
-        nhpp.RatePair(apriori=10.0, measured=11.0)
-    with pytest.raises(ValueError):
-        nhpp.RatePair(apriori=-1.0, measured=0.0)

@@ -8,7 +8,6 @@ from spadrate.paralyzing import (
     ParalyzingParams,
     fit_paralyzing,
     mean_conditional_on_time,
-    mean_paralyzation_count,
     mean_single_prolongation,
     paralyzation_prob,
     paralyzing_mean_on_time,
@@ -93,14 +92,6 @@ def test_prolongation_value_at_1e9():
     assert mean_single_prolongation(PP, 1e9, TAU_R) == pytest.approx(expected, rel=1e-7)
 
 
-def test_paralyzation_count():
-    assert mean_paralyzation_count(0.0) == 0.0
-    assert mean_paralyzation_count(0.5) == pytest.approx(1.0)
-    assert mean_paralyzation_count(0.9) == pytest.approx(9.0)
-    with pytest.raises(ValueError):
-        mean_paralyzation_count(1.0)
-
-
 def test_paralyzing_mean_disabled_equals_er_mean():
     r_star = 3e8
     assert paralyzing_mean_on_time(ParalyzingParams(), r_star, TAU_R) == er.er_mean_on_time(
@@ -118,11 +109,33 @@ def test_paralyzing_mean_dominates_er_mean(r_star):
     assert paralyzing_mean_on_time(PP, r_star, TAU_R) >= er.er_mean_on_time(r_star, TAU_R)
 
 
-@pytest.mark.parametrize("r_star", np.logspace(7.5, 10.5, 22))
-def test_paralyzing_mean_matches_mpmath_oracle(r_star):
+# the criterion-9 grid, then windows of 9 to 900 tau_r holding hazards of 9 to 150
+@pytest.mark.parametrize(
+    "r_star, pp",
+    [pytest.param(rs, PP, id=str(rs)) for rs in np.logspace(7.5, 10.5, 22)]
+    + [
+        pytest.param(rs, ParalyzingParams(tau_p1=p1, tau_p2=PP.tau_p2), id=f"long-{p1:g}-{rs:g}")
+        for p1, rs in ((1e-6, 1e7), (1e-6, 1e8), (5e-6, 3e7), (1e-5, 1e6), (1e-4, 1e5))
+    ],
+)
+def test_paralyzing_mean_matches_mpmath_oracle(r_star, pp):
     pytest.importorskip("mpmath")
-    exact = helpers.mp_paralyzing_mean_on_time(r_star, TAU_R, PP.tau_p1, PP.tau_p2)
-    assert paralyzing_mean_on_time(PP, r_star, TAU_R) == pytest.approx(exact, rel=1e-12)
+    exact = helpers.mp_paralyzing_mean_on_time(r_star, TAU_R, pp.tau_p1, pp.tau_p2)
+    assert paralyzing_mean_on_time(pp, r_star, TAU_R) == pytest.approx(exact, rel=1e-12)
+
+
+# tau_p1 in [1 ns, 1 us] and r_star in [1e5, 3e10] /s at the paper's tau_r,
+# then a = r_star tau_r in [1e-8, 1e8] with tau_p1 / tau_r in [1e-4, 1e4]
+@pytest.mark.parametrize(
+    "r_star, tau_r, tau_p1",
+    [(rs, TAU_R, p1) for p1 in (1e-9, 1e-8, 1e-7, 1e-6) for rs in (1e5, 1e7, 1e9, 3e10)]
+    + [(a, 1.0, x) for a in 10.0 ** np.arange(-8, 9, 4) for x in (1e-4, 1e-3, 1e-2, 1, 1e2, 1e4)],
+)
+def test_conditional_mean_matches_mpmath_oracle(r_star, tau_r, tau_p1):
+    pytest.importorskip("mpmath")
+    exact = helpers.mp_conditional_mean(r_star, tau_r, tau_p1)
+    pp = ParalyzingParams(tau_p1=tau_p1)
+    assert mean_conditional_on_time(pp, r_star, tau_r) == pytest.approx(exact, rel=1e-13)
 
 
 def test_conditional_mean_below_window():
