@@ -97,9 +97,11 @@ def _handle_errors(f):
 
 
 def _validated(builder, *args, **kwargs):
-    """Constructor-level validation failures are configuration errors (exit 2)."""
+    """Invalid arguments are configuration errors (exit 2); degenerate data stays exit 3."""
     try:
         return builder(*args, **kwargs)
+    except DegenerateDataError:
+        raise
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -263,7 +265,8 @@ def _parse_assignments(pairs, what: str) -> dict[str, float]:
 def cmd_fit(ctx, histogram, fix, init, ri, dark, out, curve):
     """Fit the recovery model to an interval histogram."""
     hist = inference.IntervalHistogram.from_csv(histogram)
-    result = inference.fit_er_histogram(
+    result = _validated(
+        inference.fit_er_histogram,
         hist,
         init=_parse_assignments(init, "init") or None,
         fixed=_parse_assignments(fix, "fix"),

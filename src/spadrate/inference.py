@@ -270,6 +270,39 @@ def _half_deviance(edges, counts, params, total, free):
     return float(terms.sum()), grad, information
 
 
+def _fisher_scoring(objective, x, current, failure):
+    """Minimise objective(x) -> (value, gradient, information) by Fisher scoring.
+
+    ``current`` is that triple at the start ``x``; ``failure(message, x)``
+    builds the FitError raised when 500 steps reach no solution.  Returns
+    the solution, its value and information, and the number of steps taken.
+    """
+    value, grad, information = current
+    iterations = 0
+    while True:
+        try:
+            step = np.linalg.solve(information, grad)
+        except np.linalg.LinAlgError:
+            raise failure("information matrix is singular", x)
+        # Newton decrement: below it the remaining step is under 1e-4 sigma,
+        # while the objective still resolves the decrease it promises.
+        if grad @ step < 1e-8:
+            return x, value, information, iterations
+        if iterations == 500:
+            raise failure("fit did not converge", x)
+        step /= max(1.0, float(np.abs(step).max()))
+        for _ in range(40):
+            trial = objective(x - step)
+            if trial[0] < value:
+                break
+            step /= 2.0
+        else:
+            raise failure("line search found no decrease", x)
+        x = x - step
+        value, grad, information = trial
+        iterations += 1
+
+
 def fit_er_histogram(
     hist: IntervalHistogram,
     init: dict[str, float] | None = None,
@@ -277,7 +310,6 @@ def fit_er_histogram(
     *,
     photon_rate: float | None = None,
     dark_apriori: float = 0.0,
-    max_iterations: int = 500,
 ) -> FitResult:
     """Maximum-likelihood fit of the interval model to a histogram.
 
@@ -292,7 +324,7 @@ def fit_er_histogram(
 
     Raises :class:`FitError` when a populated bin has zero expected count
     at the start (for example a dead-time held above it), or when scoring
-    does not converge within ``max_iterations`` steps.
+    does not converge within 500 steps.
     """
     if hist.total < 1:
         raise DegenerateDataError("histogram is empty")
@@ -348,32 +380,10 @@ def fit_er_histogram(
         start[2] *= factors[int(np.argmin(scan))]
 
     x = np.log(start[free])
-    value, grad, information = objective(x)
-    if not np.isfinite(value):
+    current = objective(x)
+    if not np.isfinite(current[0]):
         raise failure("a populated bin has zero expected count at the starting parameters", x)
-    iterations = 0
-    while True:
-        try:
-            step = np.linalg.solve(information, grad)
-        except np.linalg.LinAlgError:
-            raise failure("information matrix is singular", x)
-        # Newton decrement: below it the remaining step is under 1e-4 sigma,
-        # while the deviance still resolves the decrease it promises.
-        if grad @ step < 1e-8:
-            break
-        if iterations == max_iterations:
-            raise failure("histogram fit did not converge", x)
-        step /= max(1.0, float(np.abs(step).max()))
-        for _ in range(40):
-            trial = objective(x - step)
-            if trial[0] < value:
-                break
-            step /= 2.0
-        else:
-            raise failure("line search found no decrease", x)
-        x = x - step
-        value, grad, information = trial
-        iterations += 1
+    x, value, information, iterations = _fisher_scoring(objective, x, current, failure)
 
     best = params_of(x)
     sigmas = best[free] * np.sqrt(np.maximum(np.diag(np.linalg.inv(information)), 0.0))

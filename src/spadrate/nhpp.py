@@ -12,7 +12,8 @@ the detector-on time has density r_i * eta(t) * ccdf(t), and the measured
 rate follows from the mean detector-on time via rate = 1/(<t> + tau_d).
 
 Everything here is generic over the recovery shape; the exponential
-specialisation lives in :mod:`spadrate.er`.
+specialisation lives in :mod:`spadrate.er`.  scipy's integrate and optimize
+load inside the functions that use them, which spares every CLI call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .exceptions import IntegrationError, SaturationError
 
@@ -74,7 +74,7 @@ def profile_from_efficiency(efficiency: Callable) -> EfficiencyProfile:
     call, which is accurate but slow; prefer a closed-form cumulative for
     anything performance-sensitive.
     """
-
+    from scipy import integrate
     def cumulative(t):
         def one(upper: float) -> float:
             if upper == 0.0:
@@ -122,6 +122,7 @@ def nhpp_pdf(profile: EfficiencyProfile, r_i: float, t):
 def _hazard_quantile(profile: EfficiencyProfile, r_i: float, target: float,
                      t_lo: float, t_hi_seed: float) -> float:
     """Solve r_i * cumulative(t) = target for t, expanding the bracket upward."""
+    from scipy import optimize
     hazard = lambda t: r_i * profile.cumulative(t) - target
     t_hi = t_hi_seed
     for _ in range(600):
@@ -153,6 +154,7 @@ def _integration_breakpoints(profile: EfficiencyProfile, r_i: float) -> list[flo
 
 
 def _quad_segments(f: Callable, points: list[float], epsrel: float) -> float:
+    from scipy import integrate
     total = 0.0
     for a, b in zip(points[:-1], points[1:]):
         out = integrate.quad(
@@ -219,6 +221,7 @@ def invert_rate(
     root is then polished by Brent's method (bisection with secant /
     inverse-quadratic acceleration).
     """
+    from scipy import optimize
     if r <= 0:
         raise ValueError(f"measured rate must be positive, got {r}")
     if saturation is not None and r >= saturation:

@@ -9,6 +9,8 @@ paralyzing case.
 The mean needs one integral, the conditional numerator N of t * pdf(t)
 over [0, tau_p1], taken with a fixed Gauss-Legendre rule.  With H the
 hazard over the window, the mean is <t>_er + e^H * N + expm1(H) * tau_p2.
+It is linear in tau_p2, so the fit solves tau_p2 in closed form for each
+tau_p1 and scores log tau_p1 alone (variable projection).
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import er
 from .exceptions import FitError
+from .inference import _fisher_scoring
 
 __all__ = [
     "ParalyzingParams",
@@ -87,14 +90,21 @@ def mean_single_prolongation(pp: ParalyzingParams, r_star: float, tau_r: float) 
     return mean_conditional_on_time(pp, r_star, tau_r) + pp.tau_p2
 
 
+def _prolongation_terms(tau_p1: float, r_star: float, tau_r: float) -> tuple[float, float]:
+    """(e^H * N, expm1(H)) of the mean <t>_er + e^H * N + expm1(H) * tau_p2.
+
+    expm1(H) = p/(1-p) prolongations of N/p + tau_p2 each; expm1(H)/p = e^H,
+    so neither p nor 1 - p (which loses digits as p -> 1) is formed.
+    """
+    hazard = er.er_cumulative_hazard(tau_p1, r_star, tau_r)
+    numerator = _conditional_numerator(tau_p1, r_star, tau_r)
+    return float(np.exp(hazard) * numerator), float(np.expm1(hazard))
+
+
 def paralyzing_mean_on_time(pp: ParalyzingParams, r_star: float, tau_r: float) -> float:
     """Mean time between dead-time end and the next registered detection."""
-    base = er.er_mean_on_time(r_star, tau_r)
-    hazard = er.er_cumulative_hazard(pp.tau_p1, r_star, tau_r)
-    # expm1(H) = p/(1-p) prolongations of N/p + tau_p2 each; expm1(H)/p = e^H,
-    # so neither p nor 1 - p (which loses digits as p -> 1) is formed
-    numerator = _conditional_numerator(pp.tau_p1, r_star, tau_r)
-    return base + float(np.exp(hazard) * numerator + np.expm1(hazard) * pp.tau_p2)
+    extra, count = _prolongation_terms(pp.tau_p1, r_star, tau_r)
+    return er.er_mean_on_time(r_star, tau_r) + extra + count * pp.tau_p2
 
 
 @dataclass(frozen=True)
@@ -105,18 +115,17 @@ class ParalyzingFit:
     n_points: int
 
 
-def fit_paralyzing(
-    points,
-    params: er.ErParams,
-    *,
-    init: ParalyzingParams | None = None,
-) -> ParalyzingFit:
+def fit_paralyzing(points, params: er.ErParams) -> ParalyzingFit:
     """Weighted least squares for (tau_p1, tau_p2) on mean on-time data.
 
     ``points`` is a sequence of (r_star, mean_on_time) pairs spanning the
     detection-rate rollover.  Each point is weighted by 1/r^3 with r the
-    measured rate 1/(mean + tau_d) at that point.  Uncertainties are the
-    1-sigma values from the Jacobian at the solution.
+    measured rate 1/(mean + tau_d) at that point.  For each tau_p1, tau_p2
+    is its least-squares value clipped at zero (variable projection), and
+    log tau_p1 is fitted from tau_r / 10 by Fisher scoring on the profile
+    likelihood.  Uncertainties are the 1-sigma values from the analytic
+    Jacobian at the solution.  Raises :class:`FitError` when scoring fails
+    or tau_p1 is not resolved, as when the means show no paralyzation.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -126,47 +135,59 @@ def fit_paralyzing(
     rates = 1.0 / (means + params.tau_d)
     weights = rates**-3
     weights = weights / weights.max()
-    sqrt_w = np.sqrt(weights)
-
-    # Fitted in units of tau_r: in seconds the bound-scaled gradient test
-    # fires while the gradient is still far from zero, short of the minimum.
     tau_r = params.tau_r
-
-    def residuals(y):
-        pp = ParalyzingParams(tau_p1=y[0] * tau_r, tau_p2=y[1] * tau_r)
-        model = np.array([paralyzing_mean_on_time(pp, rs, tau_r) for rs in r_stars])
-        return sqrt_w * (model - means) / tau_r
-
-    x0 = (
-        np.array([init.tau_p1, init.tau_p2])
-        if init is not None
-        else np.array([tau_r / 10.0, tau_r / 10.0])
-    )
-    res = optimize.least_squares(
-        residuals,
-        x0 / tau_r,
-        bounds=(np.zeros(2), np.full(2, np.inf)),
-        method="trf",
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-    )
-    tau_p = res.x * tau_r
-    if not res.success:
-        raise FitError(
-            f"paralyzing fit did not converge: {res.message}",
-            details={"residuals": (res.fun * tau_r).tolist(), "x": tau_p.tolist()},
-        )
+    base = np.array([er.er_mean_on_time(rs, tau_r) for rs in r_stars])
     dof = max(len(means) - 2, 1)
-    s2 = 2.0 * res.cost / dof
-    try:
-        cov = np.linalg.inv(res.jac.T @ res.jac) * s2
-        stderr = tau_r * np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
-        stderr = (np.nan, np.nan)
+    # an exact fit leaves only rounding in the residuals; below this SSR it has converged
+    floor = (4.0 * np.finfo(float).eps) ** 2 * (weights @ means**2)
+
+    def profile(x):
+        """tau_p1 = e^x, its tau_p2, the residuals, their (x, tau_p2)-Jacobian and SSR."""
+        tau_p1 = float(np.exp(x[0]))
+        extra, count = np.array([_prolongation_terms(tau_p1, rs, tau_r) for rs in r_stars]).T
+        w_count = weights * count
+        tau_p2 = max(0.0, float(w_count @ (means - base - extra) / (w_count @ count)))
+        residuals = base + extra + count * tau_p2 - means
+        # d(e^H N)/d tau_p1 = rate * (e^H N + tau_p1) and d expm1(H)/d tau_p1 = rate * e^H
+        rate = r_stars * -np.expm1(-tau_p1 / tau_r)
+        jac = np.stack([tau_p1 * rate * (extra + tau_p1 + (1.0 + count) * tau_p2), count])
+        return tau_p1, tau_p2, residuals, jac, max(weights @ residuals**2, floor)
+
+    def projected(a, b):
+        """``a`` less its w-projection on ``b``."""
+        return a - b * ((weights * b) @ a) / ((weights * b) @ b)
+
+    def objective(x):
+        # (dof/2) log SSR, the profile Gaussian negative log-likelihood; its information
+        # is that of log tau_p1 with tau_p2 free, the x-column projected off tau_p2's
+        _, tau_p2, residuals, jac, ssr = profile(x)
+        column = projected(*jac)
+        s2 = ssr / dof
+        # while tau_p2 > 0 the residuals are w-orthogonal to its column, and
+        # the projected column keeps that column's rounding out of the gradient
+        slope = column if tau_p2 > 0.0 else jac[0]
+        grad = (weights * slope) @ residuals / s2 if ssr > floor else 0.0
+        information = (weights * column) @ column / s2
+        return 0.5 * dof * np.log(ssr), np.array([grad]), np.array([[information]])
+
+    def failure(message, x):
+        if not objective(x)[2][0, 0] > 1.0:
+            message = ("tau_p1 is not resolved: its 1-sigma error exceeds its value, as when "
+                       "the means show no paralyzation beyond the exponential-recovery model")
+        return FitError(f"paralyzing fit: {message}", details={"tau_p1": float(np.exp(x[0]))})
+
+    x = np.array([np.log(tau_r / 10.0)])
+    x, _, information, _ = _fisher_scoring(objective, x, objective(x), failure)
+    if not information[0, 0] > 1.0:
+        raise failure("tau_p1 is not resolved", x)
+    tau_p1, tau_p2, residuals, jac, ssr = profile(x)
+    # the diagonal of s^2 (J^T w J)^-1, J in (tau_p1, tau_p2), one Schur complement at a time
+    jac[0] /= tau_p1
+    columns = (projected(*jac), projected(*jac[::-1]))
+    stderr = [np.sqrt(ssr / dof / ((weights * c) @ c)) for c in columns]
     return ParalyzingFit(
-        params=ParalyzingParams(tau_p1=float(tau_p[0]), tau_p2=float(tau_p[1])),
+        params=ParalyzingParams(tau_p1=tau_p1, tau_p2=tau_p2),
         stderr=(float(stderr[0]), float(stderr[1])),
-        cost=float(res.cost * tau_r**2),
+        cost=float(0.5 * weights @ residuals**2),
         n_points=len(means),
     )

@@ -1,5 +1,8 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from click.testing import CliRunner
 
 import helpers
 from spadrate.cli import cli
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -148,6 +153,33 @@ def test_fit_non_finite_assignment_is_usage_error(runner, tmp_path):
     hist.write_text("bin_left_s,count\n0,1\n1e-9,2\n")
     result = runner.invoke(cli, ["fit", str(hist), "--fix", "tau_d=nan"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--fix", "foo=1"],
+    ["--init", "tau_r=-1"],
+    ["--fix", "tau_r=0"],
+    ["--fix", "r_star=1e8", "--fix", "tau_d=0", "--fix", "tau_r=1e-7", "--fix", "scale=1"],
+], ids="_".join)
+def test_fit_argument_error_is_usage_error(runner, tmp_path, args):
+    hist = tmp_path / "h.csv"
+    hist.write_text("bin_left_s,count\n0,1\n1e-9,2\n")
+    result = runner.invoke(cli, ["fit", str(hist), *args, "--out", str(tmp_path / "fit.json")])
+    assert result.exit_code == 2, result.output
+
+
+def test_fit_single_bin_histogram_is_fit_error(runner, tmp_path):
+    hist = tmp_path / "h.csv"
+    hist.write_text("bin_left_s,count\n0,0\n1e-9,5\n")
+    result = runner.invoke(cli, ["fit", str(hist), "--out", str(tmp_path / "fit.json")])
+    assert result.exit_code == 3, result.output
+
+
+def test_import_loads_no_quadrature_or_optimiser():
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import spadrate.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_fit_dead_time_above_populated_bins_is_fit_error(runner, tmp_path):

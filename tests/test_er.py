@@ -358,6 +358,15 @@ def test_approx_high_pdf_peak_location():
         )
 
 
+@pytest.mark.parametrize("rt, tol", [(1e4, 1e-2), (1e6, 1e-4)])
+def test_approx_high_pdf_vs_exact(rt, tol):
+    # the expansion's error shrinks with r_star * tau_r over the bulk of the density
+    r_star = rt / TAU_R
+    t = np.linspace(0.01, 4.0, 400) * np.sqrt(TAU_R / r_star)
+    rel = er.approx_high_pdf(t, r_star, TAU_R) / er.er_pdf(t, r_star, TAU_R) - 1
+    assert np.max(np.abs(rel)) < tol
+
+
 @settings(max_examples=30, deadline=None)
 @given(rt=st.floats(min_value=-3, max_value=3), x=st.floats(min_value=-4, max_value=2))
 def test_pdf_nonnegative_property(rt, x):

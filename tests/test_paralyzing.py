@@ -4,6 +4,7 @@ from scipy import integrate
 
 import helpers
 from spadrate import er, simulate
+from spadrate.exceptions import FitError
 from spadrate.paralyzing import (
     ParalyzingParams,
     fit_paralyzing,
@@ -224,6 +225,30 @@ def test_fit_reaches_minimum_on_simulated_ladder():
     fit = fit_paralyzing(points, det)
     assert fit.params.tau_p1 == pytest.approx(PP.tau_p1, rel=0.1)
     assert fit.params.tau_p2 == pytest.approx(PP.tau_p2, rel=0.1)
+
+
+def test_fit_recovers_window_near_tau_r():
+    # means up to ~1 s put nearly all the weight on the top rungs
+    det = er.ErParams(eta0=0.19117, tau_d=1e-6, tau_r=TAU_R)
+    truth = ParalyzingParams(tau_p1=100e-9, tau_p2=50e-9)
+    grid = np.logspace(6, 8.7, 9)
+    clean = np.array([paralyzing_mean_on_time(truth, rs, TAU_R) for rs in grid])
+    noisy = clean * (1.0 + 0.01 * np.random.default_rng(3).standard_normal(grid.size))
+    fit = fit_paralyzing(list(zip(grid, noisy)), det)
+    assert fit.params.tau_p1 == pytest.approx(truth.tau_p1, rel=1e-2)
+    assert fit.params.tau_p2 == pytest.approx(truth.tau_p2, rel=1e-2)
+    assert all(0 < s < np.inf for s in fit.stderr)
+
+
+def test_fit_without_paralyzation_fails_clearly():
+    # means the exponential-recovery model explains to 0.1%, or exactly
+    det = er.ErParams(eta0=0.19117, tau_d=1e-6, tau_r=TAU_R)
+    grid = np.logspace(8, np.log10(5e9), 9)
+    base = np.array([er.er_mean_on_time(rs, TAU_R) for rs in grid])
+    rng = np.random.default_rng(0)
+    for means in (base * (1.0 + 1e-3 * rng.standard_normal(grid.size)), base):
+        with pytest.raises(FitError, match="not resolved"):
+            fit_paralyzing(list(zip(grid, means)), det)
 
 
 def test_fit_needs_three_points():
