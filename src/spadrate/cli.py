@@ -4,7 +4,8 @@ All physical quantities are plain SI (seconds, hertz); scientific
 notation is accepted everywhere.  Each command writes a run manifest
 next to its primary output so that any result can be traced back to the
 exact configuration, and a simulation can be reproduced bit-for-bit by
-passing the manifest back via --config.
+passing the manifest back via --config (under the same sampler, which the
+simulate manifest records).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numeric or fit
 failure, 4 I/O failure.
@@ -34,7 +35,7 @@ def _out_path(name: str | None, default: str) -> Path:
 
 
 def _write_manifest(primary: Path, command: str, config: dict, inputs: list[str],
-                    outputs: list[str], seed: int | None = None) -> Path:
+                    outputs: list[str], seed: int | None = None, **extra) -> Path:
     manifest = {
         "command": command,
         "config": config,
@@ -42,6 +43,7 @@ def _write_manifest(primary: Path, command: str, config: dict, inputs: list[str]
         "outputs": outputs,
         "seed": seed,
         "version": __version__,
+        **extra,
     }
     path = primary.with_suffix(".manifest.json")
     with open(path, "w") as fh:
@@ -187,7 +189,7 @@ def cmd_simulate(ctx, **kw):
         duration=kw["duration"],
         seed=kw["seed"],
     )
-    series = simulate.simulate(config)
+    series = _validated(simulate.simulate, config)
 
     out = _out_path(kw["out"], f"timestamps.{kw['fmt']}")
     if kw["fmt"] == "csv":
@@ -196,7 +198,8 @@ def cmd_simulate(ctx, **kw):
         simulate.write_timestamps_binary(out, series)
     flat = {k: kw[k] for k in ("eta0", "tau_d", "tau_r", "ri", "dark", "tau_p1",
                                "tau_p2", "events", "duration", "seed", "fmt")}
-    manifest = _write_manifest(out, "simulate", flat, [], [str(out)], seed=kw["seed"])
+    manifest = _write_manifest(out, "simulate", flat, [], [str(out)], seed=kw["seed"],
+                               sampler=series.metadata["sampler"])
     click.echo(f"wrote {series.times.size} timestamps to {out}")
     click.echo(f"manifest: {manifest}")
 
@@ -217,8 +220,11 @@ def cmd_hist(ctx, timestamps, bin_width, bounds, out):
         times = simulate.read_timestamps_binary(timestamps)
     else:
         times = simulate.read_timestamps_csv(timestamps)
-    hist = inference.build_histogram(
-        simulate.intervals(times), bin_width, bounds=tuple(bounds) if bounds else None
+    if times.size == 0:
+        raise DegenerateDataError(f"no timestamps in {timestamps}")
+    hist = _validated(
+        inference.build_histogram,
+        simulate.intervals(times), bin_width, bounds=tuple(bounds) if bounds else None,
     )
     out = _out_path(out, "histogram.csv")
     hist.to_csv(out)

@@ -74,6 +74,39 @@ def _window_points(r_star: float, tau_r: float, tau_p1: float) -> list[float]:
     return [0.0] + sorted(t for t in set(knots) if t < end) + [end]
 
 
+def paralyzing_micro_mean(r_star: float, tau_r: float, tau_p1: float, tau_p2: float) -> float:
+    """Exact mean on-time of the simulator's paralyzing micro-dynamics.
+
+    A geometric number of paralyzations, expm1(H1) on average with
+    H1 = H(tau_p1), each lasting its conditional time plus tau_p2, then a
+    detected segment conditioned on t >= tau_p1.  The conditional means
+    collapse because expm1(H1)/p = e^H1 (p = 1 - e^-H1), leaving
+    e^H1 <t>_er + expm1(H1) tau_p2.  This is not the paper's mean-level
+    extension, which does not condition the final segment.
+    """
+    h1 = float(er.er_cumulative_hazard(tau_p1, r_star, tau_r))
+    return np.exp(h1) * mean_via_survival(r_star, tau_r) + np.expm1(h1) * tau_p2
+
+
+def mp_inverse_hazard(g: float, dps: int = 40) -> float:
+    """The x >= 0 with x + expm1(-x) = g, by Newton's method in mpmath.
+
+    Starts at g + 1, right of the root of a convex increasing function,
+    so the iterates fall monotonically onto it.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        g = mpmath.mpf(g)
+        x = g + 1
+        for _ in range(300):
+            step = (x + mpmath.expm1(-x) - g) / -mpmath.expm1(-x)
+            x -= step
+            if abs(step) <= x * mpmath.mpf(10) ** (5 - dps):
+                return float(x)
+    raise RuntimeError(f"no convergence at g = {g}")
+
+
 def mp_paralyzing_mean_on_time(r_star: float, tau_r: float, tau_p1: float, tau_p2: float,
                                dps: int = 40) -> float:
     """Recovery mean plus p/(1-p) prolongations of (conditional time + tau_p2), in mpmath.

@@ -2,6 +2,8 @@ import csv
 import json
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import helpers
+from spadrate import simulate
 from spadrate.cli import cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -173,6 +176,49 @@ def test_fit_single_bin_histogram_is_fit_error(runner, tmp_path):
     hist.write_text("bin_left_s,count\n0,0\n1e-9,5\n")
     result = runner.invoke(cli, ["fit", str(hist), "--out", str(tmp_path / "fit.json")])
     assert result.exit_code == 3, result.output
+
+
+def test_simulate_manifest_records_sampler(runner, tmp_path):
+    out = tmp_path / "ts.bin"
+    result = runner.invoke(cli, _simulate_args(out, events=10, extra=["--format", "bin"]))
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "ts.manifest.json").read_text())
+    assert manifest["sampler"] == "inverse-hazard"
+
+
+@pytest.mark.parametrize("args", [
+    ["--eta0", "0.2", "--ri", "5e9", "--tau-p1", "100e-9", "--tau-p2", "27e-9"],
+    ["--ri", "0"],
+], ids=["blinded", "zero_rate"])
+def test_simulate_unreachable_event_count_is_usage_error(runner, tmp_path, args):
+    # blinded: H(tau_p1) = 33.75, about 4.5e14 paralyzations per detection
+    start = time.perf_counter()
+    result = runner.invoke(cli, ["simulate", *args, "--events", "10",
+                                 "--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 2, result.output
+    assert time.perf_counter() - start < 1.0
+
+
+def test_hist_reversed_range_is_usage_error(runner, tmp_path):
+    ts = tmp_path / "ts.csv"
+    assert runner.invoke(cli, _simulate_args(ts, events=100)).exit_code == 0
+    result = runner.invoke(cli, ["hist", str(ts), "--range", "1", "0",
+                                 "--out", str(tmp_path / "h.csv")])
+    assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize("name", ["empty.csv", "empty.bin"])
+def test_hist_without_timestamps_is_data_error(runner, tmp_path, name):
+    ts = tmp_path / name
+    if name.endswith(".bin"):
+        simulate.write_timestamps_binary(ts, simulate.TimestampSeries(times=np.empty(0)))
+    else:
+        ts.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(cli, ["hist", str(ts), "--out", str(tmp_path / "h.csv")])
+    assert result.exit_code == 3, result.output
+    assert f"no timestamps in {ts}" in result.output
 
 
 def test_import_loads_no_quadrature_or_optimiser():

@@ -98,6 +98,27 @@ def test_thinning_reproduces_ccdf_quartiles(paper_params):
         assert abs(p_hat - q) < 4 * np.sqrt(q * (1 - q) / n)
 
 
+@pytest.mark.parametrize("rt", [1e-3, 1e4])
+def test_on_time_quartiles_in_both_newton_regimes(paper_params, rt):
+    # rt = 1e-3 starts Newton from g + 1, rt = 1e4 from the small-g series
+    r_star = rt / paper_params.tau_r
+    config = _config(paper_params, r_star, n_events=100_000, seed=21)
+    on = simulate.intervals(simulate.simulate(config)) - paper_params.tau_d
+    for q in (0.25, 0.5, 0.75):
+        t_q = helpers.er_quantile(r_star, paper_params.tau_r, q)
+        p_hat = np.mean(on <= t_q)
+        assert abs(p_hat - q) < 4 * np.sqrt(q * (1 - q) / on.size)
+
+
+def test_inverse_hazard_matches_mpmath():
+    pytest.importorskip("mpmath")
+    g = np.logspace(-14, 7, 200)
+    x = simulate._inverse_hazard(g)
+    oracle = np.array([helpers.mp_inverse_hazard(v) for v in g])
+    np.testing.assert_allclose(x, oracle, rtol=2e-15, atol=0)
+    assert simulate._inverse_hazard(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+
 def test_distribution_matches_model_ks(paper_params):
     r_star = 0.1 / paper_params.tau_r
     config = _config(paper_params, r_star, n_events=200_000, seed=15)
@@ -129,6 +150,52 @@ def test_paralyzing_intervals_still_exceed_dead_time(paper_params):
         seed=17,
     )
     assert simulate.intervals(simulate.simulate(config)).min() >= paper_params.tau_d
+
+
+@pytest.mark.parametrize("r_star, n_events", [(1e8, 100_000), (1e9, 100_000), (6e9, 20_000)])
+def test_paralyzing_mean_matches_micro_dynamics(paper_params, r_star, n_events):
+    pp = ParalyzingParams(tau_p1=15e-9, tau_p2=27e-9)
+    config = simulate.SimConfig(
+        er=paper_params,
+        source=er.SourceParams(photon_rate=r_star / paper_params.eta0),
+        paralyzing=pp,
+        n_events=n_events,
+        seed=22,
+    )
+    on = simulate.intervals(simulate.simulate(config)) - paper_params.tau_d
+    exact = helpers.paralyzing_micro_mean(r_star, paper_params.tau_r, pp.tau_p1, pp.tau_p2)
+    se = on.std(ddof=1) / np.sqrt(on.size)
+    assert abs(on.mean() - exact) < 4 * se
+
+
+def test_paralyzing_seed_reproducibility(paper_params):
+    # ~17 paralyzations per detection: the paralysed draws span several blocks
+    def run(seed):
+        return simulate.simulate(simulate.SimConfig(
+            er=paper_params,
+            source=er.SourceParams(photon_rate=3e9 / paper_params.eta0),
+            paralyzing=ParalyzingParams(tau_p1=15e-9, tau_p2=27e-9),
+            n_events=5_000,
+            seed=seed,
+        ))
+
+    a = run(23)
+    assert a.times.tobytes() == run(23).times.tobytes()
+    assert a.times.tobytes() != run(24).times.tobytes()
+    assert a.metadata["sampler"] == "inverse-hazard"
+
+
+@pytest.mark.parametrize("stop", [{"n_events": 10}, {"duration": 1.0}])
+def test_unreachable_paralyzing_configuration_raises(paper_params, stop):
+    # H(tau_p1) = 33.75: about 4.5e14 paralyzations per detection
+    config = simulate.SimConfig(
+        er=er.ErParams(eta0=0.2, tau_d=paper_params.tau_d, tau_r=paper_params.tau_r),
+        source=er.SourceParams(photon_rate=5e9),
+        paralyzing=ParalyzingParams(tau_p1=100e-9, tau_p2=27e-9),
+        **stop,
+    )
+    with pytest.raises(ValueError, match="expected per detection"):
+        simulate.simulate(config)
 
 
 def test_duration_stop(paper_params):
