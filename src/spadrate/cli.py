@@ -13,7 +13,6 @@ failure, 4 I/O failure.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import os
@@ -27,6 +26,7 @@ from . import __version__, er, inference, nhpp, paralyzing, simulate
 from .exceptions import DegenerateDataError, FitError, IntegrationError, SaturationError
 
 _OUTDIR_ENV = "SPADRATE_OUTDIR"
+_MAX_EVENTS = np.iinfo(np.intp).max // 8  # numpy caps an array at intp-max bytes
 
 
 def _out_path(name: str | None, default: str) -> Path:
@@ -172,8 +172,9 @@ def cmd_simulate(ctx, **kw):
         raise click.UsageError("--ri is required (directly or via --config)")
     if (kw["events"] is None) == (kw["duration"] is None):
         raise click.UsageError("specify exactly one of --events or --duration")
-    if kw["events"] is not None and not 1 <= kw["events"] < np.inf:
-        raise click.UsageError("--events must be a positive finite count")
+    if kw["events"] is not None and not 1 <= kw["events"] <= _MAX_EVENTS:
+        raise click.UsageError(f"--events must be a count from 1 to {_MAX_EVENTS}, "
+                               "the most float64 values one array can hold")
 
     params = _validated(er.ErParams, eta0=kw["eta0"], tau_d=kw["tau_d"], tau_r=kw["tau_r"])
     source = _validated(er.SourceParams, photon_rate=kw["ri"], dark_apriori=kw["dark"])
@@ -287,11 +288,8 @@ def cmd_fit(ctx, histogram, fix, init, ri, dark, out, curve):
     curve_path = Path(curve) if curve else Path(out).with_name(Path(out).stem + "_curve.csv")
     expected = inference.expected_counts(hist, result.r_star, result.tau_d, result.tau_r,
                                          result.scale)
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_center_s", "count", "expected_count"])
-        for center, count, mu in zip(hist.bin_centers, hist.counts, expected):
-            writer.writerow([f"{center:.17g}", int(count), f"{mu:.10g}"])
+    inference.write_table(curve_path, "bin_center_s,count,expected_count",
+                          "{:.17g},{},{:.10g}", hist.bin_centers, hist.counts, expected)
 
     config = {"histogram": str(histogram), "fix": list(fix), "init": list(init),
               "ri": ri, "dark": dark}
@@ -393,14 +391,11 @@ def cmd_tabulate(ctx, eta0, tau_d, tau_r, sweep_from, sweep_to, points, model,
             return er.approx_low_mean(r_star, tau_r)
         return er.approx_high_mean(r_star, tau_r)
 
+    means = [mean_of(r_star) for r_star in grid.tolist()]
+    measured = [nhpp.rate_forward(mean, tau_d) for mean in means]
     out = _out_path(out, "sweep.csv")
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r_star_hz", "mean_on_time_s", "rate_hz"])
-        for r_star in grid:
-            mean = mean_of(float(r_star))
-            writer.writerow([f"{r_star:.10g}", f"{mean:.12g}",
-                             f"{nhpp.rate_forward(mean, tau_d):.12g}"])
+    inference.write_table(out, "r_star_hz,mean_on_time_s,rate_hz", "{:.10g},{:.12g},{:.12g}",
+                          grid, means, measured)
     config = {"eta0": eta0, "tau_d": tau_d, "tau_r": tau_r, "from": sweep_from,
               "to": sweep_to, "points": points, "model": model,
               "tau_p1": tau_p1, "tau_p2": tau_p2}

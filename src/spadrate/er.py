@@ -31,7 +31,6 @@ import numpy as np
 from scipy import special
 
 from . import nhpp
-from .exceptions import SaturationError
 
 __all__ = [
     "ErParams",
@@ -230,21 +229,11 @@ def er_rate_inverse(r: float, params: ErParams) -> float:
     """
     if not 0 < r < np.inf:
         raise ValueError(f"measured rate must be finite and positive, got {r}")
-    saturation = 1.0 / params.tau_d if params.tau_d > 0 else None
-    if saturation is not None and r >= saturation:
-        raise SaturationError(
-            f"measured rate {r:.6g} /s is at or above the dead-time "
-            f"saturation limit 1/tau_d = {saturation:.6g} /s"
-        )
     # The recovery always slows the detector down, so the instantaneous-
-    # recovery inverse is a lower bound for the true a priori rate.
-    hi_seed = 10.0 * nhpp.simple_rate_inverse(r, params.tau_d) if params.tau_d > 0 else 10.0 * r
-    return nhpp.invert_rate(
-        lambda x: er_rate_forward(x, params),
-        r,
-        bracket=(r, hi_seed),
-        saturation=saturation,
-    )
+    # recovery inverse (which raises at saturation) is a lower bound for
+    # the true a priori rate.
+    hi_seed = 10.0 * nhpp.simple_rate_inverse(r, params.tau_d)
+    return nhpp.invert_rate(lambda x: er_rate_forward(x, params), r, bracket=(r, hi_seed))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ data: it is exact for empty tail bins and needs no ad hoc variance model.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,63 +79,70 @@ class IntervalHistogram:
         return self.bin_lefts + 0.5 * self.bin_width
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left_s", "count"])
-            for left, count in zip(self.bin_lefts, self.counts):
-                writer.writerow([f"{left:.17g}", int(count)])
+        write_table(path, "bin_left_s,count", "{:.17g},{}", self.bin_lefts, self.counts)
 
     @classmethod
     def from_csv(cls, path) -> "IntervalHistogram":
-        lefts: list[float] = []
-        counts: list[int] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["bin_left_s", "count"]:
+        """Read a ``to_csv`` file; a malformed one raises ValueError naming the path."""
+        with open(path) as fh:
+            if [h.strip() for h in fh.readline().split(",")[:2]] != ["bin_left_s", "count"]:
                 raise ValueError(f"{path}: expected header 'bin_left_s,count'")
-            for row in reader:
-                if not row:
-                    continue
-                lefts.append(float(row[0]))
-                counts.append(int(row[1]))
-        if not lefts:
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                            UserWarning)
+                    rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=1,
+                                      dtype=[("left", float), ("count", np.int64)])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        if rows.size == 0:
             return cls(bin_width=1.0, counts=np.zeros(0, dtype=np.int64))
-        if len(lefts) == 1:
+        if rows.size == 1:
             raise ValueError(f"{path}: cannot infer bin width from a single bin")
-        widths = np.diff(lefts)
+        widths = np.diff(rows["left"])
         width = float(widths[0])
         if not np.allclose(widths, width, rtol=1e-6, atol=0):
             raise ValueError(f"{path}: bins are not uniform")
-        return cls(bin_width=width, counts=np.asarray(counts), origin=float(lefts[0]))
+        return cls(bin_width=width, counts=rows["count"], origin=float(rows["left"][0]))
+
+
+def write_table(path, header: str, row_format: str, *columns) -> None:
+    """Write a header line, then ``row_format`` filled from each row of ``columns``.
+
+    Every line ends in ``\\r\\n``: the table files have always used that
+    line end, and keep it so that they stay byte-compatible.
+    """
+    rows = map((row_format + "\r\n").format, *(np.asarray(c).tolist() for c in columns))
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(rows)
 
 
 def build_histogram(
     intervals,
     bin_width: float,
     bounds: tuple[float, float] | None = None,
-    origin: float = 0.0,
 ) -> IntervalHistogram:
     """Bin intervals by floor((x - origin) / bin_width).
 
     With ``bounds = (lo, hi)`` the origin is lo and values outside
-    [lo, hi) go to the overflow tally.  Without bounds, everything at or
-    above ``origin`` is kept and the bin array extends to the maximum.
+    [lo, hi) go to the overflow tally.  Without bounds the origin is 0,
+    everything at or above it is kept and the bin array extends to the
+    maximum.
     """
     if not 0 < bin_width < np.inf:
         raise ValueError(f"bin_width must be finite and positive, got {bin_width}")
     values = np.asarray(intervals, dtype=float)
     if values.size == 0:
         return IntervalHistogram(bin_width=bin_width, counts=np.zeros(0, dtype=np.int64),
-                                 origin=bounds[0] if bounds else origin)
+                                 origin=bounds[0] if bounds else 0.0)
+    origin, n_bins = 0.0, None
     if bounds is not None:
         lo, hi = bounds
         if not -np.inf < lo < hi < np.inf:
             raise ValueError(f"bounds must be finite with lo < hi, got {bounds}")
         origin = lo
         n_bins = int(np.ceil((hi - lo) / bin_width - 1e-12))
-    else:
-        n_bins = None
     idx = np.floor((values - origin) / bin_width).astype(np.int64)
     if n_bins is None:
         in_range = idx >= 0

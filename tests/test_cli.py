@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import helpers
-from spadrate import simulate
+from spadrate import inference, simulate
 from spadrate.cli import cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -144,6 +144,15 @@ def test_fit_command(runner, tmp_path):
     assert len(rows) > 100
 
 
+@pytest.mark.parametrize("row", ["0", "1e-9,1.5", "1e-9,x"], ids=["short", "float", "text"])
+def test_fit_malformed_histogram_row_is_data_error(runner, tmp_path, row):
+    hist = tmp_path / "h.csv"
+    hist.write_text(f"bin_left_s,count\n0,1\n{row}\n2e-9,3\n")
+    result = runner.invoke(cli, ["fit", str(hist), "--out", str(tmp_path / "fit.json")])
+    assert result.exit_code == 3, result.output
+    assert str(hist) in result.output
+
+
 def test_fit_bad_assignment_is_usage_error(runner, tmp_path):
     hist = tmp_path / "h.csv"
     hist.write_text("bin_left_s,count\n0,1\n1e-9,2\n")
@@ -199,6 +208,18 @@ def test_simulate_unreachable_event_count_is_usage_error(runner, tmp_path, args)
     assert time.perf_counter() - start < 1.0
 
 
+def test_simulate_event_count_beyond_array_limit_is_usage_error(runner, tmp_path, monkeypatch):
+    def never(config):
+        raise AssertionError("simulate must not start")
+
+    monkeypatch.setattr(simulate, "simulate", never)
+    result = runner.invoke(cli, _simulate_args(tmp_path / "x.csv", events="1e19"))
+    assert result.exit_code == 2, result.output
+    assert "--events" in result.output
+    assert str(np.iinfo(np.intp).max // 8) in result.output
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_hist_reversed_range_is_usage_error(runner, tmp_path):
     ts = tmp_path / "ts.csv"
     assert runner.invoke(cli, _simulate_args(ts, events=100)).exit_code == 0
@@ -226,6 +247,36 @@ def test_import_loads_no_quadrature_or_optimiser():
             "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_table_file_formats(runner, tmp_path):
+    # header, then "%.17g,%d" rows; every line ends in "\r\n"
+    hist = helpers.multinomial_interval_hist(1e8, helpers.PAPER, 20_000, seed=1)
+    path = tmp_path / "h.csv"
+    hist.to_csv(path)
+    rows = "".join("%.17g,%d\r\n" % row for row in zip(hist.bin_lefts, hist.counts))
+    assert path.read_bytes() == ("bin_left_s,count\r\n" + rows).encode()
+    back = inference.IntervalHistogram.from_csv(path)
+    np.testing.assert_array_equal(back.counts, hist.counts)
+    assert (back.origin, back.bin_width) == (hist.origin, hist.bin_width)
+    # a non-zero origin: the width is read back as the difference of the
+    # first two lefts, exact here because the width is a power of two
+    shifted = inference.IntervalHistogram(bin_width=2.0**-30, counts=[1, 0, 2], origin=80e-6)
+    shifted.to_csv(tmp_path / "s.csv")
+    back = inference.IntervalHistogram.from_csv(tmp_path / "s.csv")
+    assert (back.origin, back.bin_width) == (shifted.origin, shifted.bin_width)
+    np.testing.assert_array_equal(back.counts, shifted.counts)
+
+    out = tmp_path / "fit.json"
+    result = runner.invoke(cli, ["fit", str(path), "--fix", "tau_d=80.09205e-6",
+                                 "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    p = json.loads(out.read_text())["params"]
+    mu = inference.expected_counts(hist, p["r_star"], p["tau_d"], p["tau_r"], p["scale"])
+    rows = "".join("%.17g,%d,%.10g\r\n" % row
+                   for row in zip(hist.bin_centers, hist.counts, mu))
+    expected = "bin_center_s,count,expected_count\r\n" + rows
+    assert (tmp_path / "fit_curve.csv").read_bytes() == expected.encode()
 
 
 def test_fit_dead_time_above_populated_bins_is_fit_error(runner, tmp_path):

@@ -187,6 +187,20 @@ def test_fit_recovers_noiseless_curve():
     assert fit.params.tau_p2 == pytest.approx(PP.tau_p2, rel=1e-3)
 
 
+def test_fit_bias_on_exact_micro_dynamics_means():
+    # Noiseless means of the simulator's micro-dynamics on the criterion-10
+    # ladder.  The offset is model mismatch, not noise: the mean-level model
+    # does not condition the final segment on t >= tau_p1, so its fit of
+    # the exact micro means lands tau_p2 about 3% high.
+    det = er.ErParams(eta0=0.19117, tau_d=1e-6, tau_r=TAU_R)
+    grid = np.logspace(8, np.log10(6e9), 10)
+    points = [(rs, helpers.paralyzing_micro_mean(rs, TAU_R, PP.tau_p1, PP.tau_p2))
+              for rs in grid]
+    fit = fit_paralyzing(points, det)
+    assert 0.025 <= fit.params.tau_p2 / PP.tau_p2 - 1.0 <= 0.035
+    assert abs(fit.params.tau_p1 / PP.tau_p1 - 1.0) < 0.005
+
+
 def test_fit_recovers_noisy_curve_within_three_sigma():
     # repeated-trial statistics: every seeded trial must land within three
     # empirical standard deviations of the configured truth
