@@ -7,8 +7,8 @@ exact configuration, and a simulation can be reproduced bit-for-bit by
 passing the manifest back via --config (under the same sampler, which the
 simulate manifest records).
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numeric or fit
-failure, 4 I/O failure.
+Exit codes: 0 success, 2 usage or configuration error, 3 numeric, data
+or fit failure (also running out of memory), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -90,6 +90,9 @@ def _handle_errors(f):
             return f(*args, **kwargs)
         except (SaturationError, FitError, IntegrationError, DegenerateDataError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
+            sys.exit(3)
+        except MemoryError as exc:
+            click.echo(f"error: out of memory: {exc}", err=True)
             sys.exit(3)
         except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)
@@ -223,9 +226,12 @@ def cmd_hist(ctx, timestamps, bin_width, bounds, out):
         times = simulate.read_timestamps_csv(timestamps)
     if times.size == 0:
         raise DegenerateDataError(f"no timestamps in {timestamps}")
+    gaps = simulate.intervals(times)
+    down = np.flatnonzero(gaps < 0)
+    if down.size:
+        raise DegenerateDataError(f"{timestamps}: timestamps decrease at row {down[0] + 2}")
     hist = _validated(
-        inference.build_histogram,
-        simulate.intervals(times), bin_width, bounds=tuple(bounds) if bounds else None,
+        inference.build_histogram, gaps, bin_width, bounds=tuple(bounds) if bounds else None,
     )
     out = _out_path(out, "histogram.csv")
     hist.to_csv(out)

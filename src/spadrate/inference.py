@@ -95,6 +95,8 @@ class IntervalHistogram:
                                       dtype=[("left", float), ("count", np.int64)])
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
+        if np.any(rows["count"] < 0):
+            raise ValueError(f"{path}: counts must be non-negative")
         if rows.size == 0:
             return cls(bin_width=1.0, counts=np.zeros(0, dtype=np.int64))
         if rows.size == 1:

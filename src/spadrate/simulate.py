@@ -47,6 +47,7 @@ _RNG_NAME = "numpy.random.PCG64"
 _SAMPLER = "inverse-hazard"
 # Draws per block: bounds the sampler's scratch memory whatever the number
 # of paralyzations per detection; larger blocks were both slower and bigger.
+# The CSV writer formats timestamps in blocks of the same size.
 _BLOCK = 1 << 14
 # Paralysed segments one call may draw: ~3 minutes at ~0.18 us per draw on
 # a 2-vCPU x86 VM.
@@ -226,18 +227,140 @@ def intervals(series) -> np.ndarray:
     return np.diff(times)
 
 
+def _line_templates() -> tuple[np.ndarray, np.ndarray]:
+    """Byte sources of the ``%.17g`` lines and the bytes each line keeps.
+
+    A line is gathered from a row of the 17 digits followed by the bytes of
+    ``_LITERALS``.  ``template[E - _E_MIN]`` lists the row positions of the
+    line of a value with decimal exponent E showing all 17 digits, padded to
+    one width, with its suffix (the newline, after ``e-05`` in the
+    exponential form) in the last columns.  ``keep[18 * (E - _E_MIN) + nd]``
+    marks the columns left when the value has nd significant digits: the
+    trailing zeros, a bare decimal point and the padding are dropped.
+    """
+    lit = {chr(c): 17 + i for i, c in enumerate(_LITERALS)}
+    width = 23  # the longest line, 0.000 and 17 digits, and its newline
+    template = np.full((_E_MAX - _E_MIN + 1, width), lit["\n"], dtype=np.intp)
+    cut = np.zeros((_E_MAX - _E_MIN + 1, 18), dtype=np.intp)
+    suffix = np.full(_E_MAX - _E_MIN + 1, width - 1, dtype=np.intp)
+    nd = np.arange(18)
+    for e in range(_E_MIN, _E_MAX + 1):
+        i = e - _E_MIN
+        if e >= 0:  # fixed: all integer digits, then any fraction
+            body = [*range(e + 1), lit["."], *range(e + 1, 17)]
+            cut[i] = np.where(nd > e + 1, nd + 1, e + 1)
+        elif e >= -4:  # fixed: 0.000ddd
+            body = [lit["0"], lit["."], *[lit["0"]] * (-e - 1), *range(17)]
+            cut[i] = 1 - e + nd
+        else:  # exponential: d.ddde-05
+            body = [0, lit["."], *range(1, 17)]
+            cut[i] = np.where(nd > 1, nd + 1, 1)
+            suffix[i] = width - 5
+            template[i, suffix[i]:-1] = [lit["e"], lit["-"], lit["0"], lit[str(-e)]]
+        template[i, :len(body)] = body
+    cols = np.arange(width)
+    keep = (cols < cut[:, :, None]) | (cols >= suffix[:, None, None])
+    return template, keep.reshape(-1, width)
+
+
+# Exact range of the line kernel: 10**(16 - E) is an exact double for E >= -6.
+_E_MIN, _E_MAX = -6, 16
+_LITERALS = b".0e-56\n"
+_POW10 = np.array([float(10 ** k) for k in range(16 - _E_MIN + 1)])
+_SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp: splits a double into two 26-bit halves
+# The four ASCII digits of 0..9999, one uint32 each, in memory order.  Built
+# in uint16 to keep its temporaries small.
+_DIGITS4 = (np.arange(10_000, dtype=np.uint16)[:, None]
+            // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_TEMPLATE, _KEEP = _line_templates()
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's product: p = fl(a*b) and the error e with p + e = a*b exactly."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _format_lines(x: np.ndarray) -> bytes:
+    """The bytes of ``f"{t:.17g}\\n"`` for every t of a float64 block.
+
+    Exact for 1e-6 < t < 1e17; a block holding any other value (zero,
+    negative, non-finite or out of range) is formatted by the f-string.
+    With E = floor(log10 t) and k = 16 - E (0 <= k <= 22), 10**k is an exact
+    double, and Dekker's two-product gives t * 10**k = p + e exactly with no
+    FMA.  p is an integer in [1e16, 1e17], so the 17 significant digits are
+    the integer p + floor(e) rounded half to even on e - floor(e), which is
+    exact, as Python's correctly rounded formatting does.  A first E from
+    log10 is corrected by one where the exact product falls outside
+    [1e16, 1e17), and a rounding carry to 10**17 becomes 10**16 at E + 1.
+    The digits are laid out in ``%g``'s fixed form for -4 <= E < 17 and its
+    exponential form below, trailing zeros stripped.
+    """
+    if not np.all((x > 1e-6) & (x < 1e17)):
+        return "".join(f"{t:.17g}\n" for t in x.tolist()).encode()
+    e = np.clip(np.floor(np.log10(x)).astype(np.int64), _E_MIN, _E_MAX)
+    p, err = _two_product(x, _POW10[16 - e])
+    shift = ((p > 1e17) | ((p == 1e17) & (err >= 0))).astype(np.int64)
+    shift -= (p < 1e16) | ((p == 1e16) & (err < 0))
+    redo = np.flatnonzero(shift)
+    if redo.size:
+        e[redo] += shift[redo]
+        p[redo], err[redo] = _two_product(x[redo], _POW10[16 - e[redo]])
+    below = np.floor(err)
+    digits = p.astype(np.int64) + below.astype(np.int64)
+    frac = err - below
+    digits += (frac > 0.5) | ((frac == 0.5) & (digits % 2 == 1))
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    e += carry
+
+    high = digits // 10 ** 8  # the first 9 digits; both halves fit int32
+    low = (digits - high * 10 ** 8).astype(np.int32)
+    high = high.astype(np.int32)
+    lead = high // 10 ** 8
+    mid = high - lead * 10 ** 8
+    groups = np.stack([mid // 10 ** 4, mid % 10 ** 4, low // 10 ** 4, low % 10 ** 4], axis=1)
+    source = np.empty((x.size, 17 + len(_LITERALS)), dtype=np.uint8)
+    source[:, 0] = lead + ord("0")
+    source[:, 1:17] = _DIGITS4[groups].view(np.uint8)
+    source[:, 17:] = np.frombuffer(_LITERALS, dtype=np.uint8)
+    n_digits = 17 - np.argmax(source[:, 16::-1] != ord("0"), axis=1)
+    row = e - _E_MIN
+    if row.min() == row.max():  # one exponent, as in most blocks of sorted timestamps
+        lines = source[:, _TEMPLATE[row[0]]]
+    else:
+        lines = np.take_along_axis(source, _TEMPLATE[row], axis=1)
+    return lines[_KEEP.take(18 * row + n_digits, axis=0)].tobytes()
+
+
 def write_timestamps_csv(path, series: TimestampSeries) -> None:
+    """One ``%.17g`` line per timestamp, ``\\n`` line ends on every platform."""
     times = series.times
-    with open(path, "w") as fh:
-        for t in times:
-            fh.write(f"{t:.17g}\n")
+    with open(path, "wb") as fh:
+        for start in range(0, times.size, _BLOCK):
+            fh.write(_format_lines(times[start:start + _BLOCK]))
 
 
 def read_timestamps_csv(path) -> np.ndarray:
-    """Timestamps of a CSV file; an empty file gives an empty array."""
+    """Timestamps of a CSV file; an empty file gives an empty array.
+
+    A malformed file raises ValueError naming the path.
+    """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(path, dtype=float, ndmin=1)
+        try:
+            return np.loadtxt(path, dtype=float, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def write_timestamps_binary(path, series: TimestampSeries) -> None:

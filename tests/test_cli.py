@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import struct
 import subprocess
 import sys
 import time
@@ -144,7 +146,8 @@ def test_fit_command(runner, tmp_path):
     assert len(rows) > 100
 
 
-@pytest.mark.parametrize("row", ["0", "1e-9,1.5", "1e-9,x"], ids=["short", "float", "text"])
+@pytest.mark.parametrize("row", ["0", "1e-9,1.5", "1e-9,x", "1e-9,-2"],
+                         ids=["short", "float", "text", "negative"])
 def test_fit_malformed_histogram_row_is_data_error(runner, tmp_path, row):
     hist = tmp_path / "h.csv"
     hist.write_text(f"bin_left_s,count\n0,1\n{row}\n2e-9,3\n")
@@ -240,6 +243,47 @@ def test_hist_without_timestamps_is_data_error(runner, tmp_path, name):
         result = runner.invoke(cli, ["hist", str(ts), "--out", str(tmp_path / "h.csv")])
     assert result.exit_code == 3, result.output
     assert f"no timestamps in {ts}" in result.output
+
+
+@pytest.mark.parametrize("name, content, row", [
+    ("text.csv", b"1e-4\nabc\n", None),
+    ("down.csv", b"3e-4\n1e-4\n2e-4\n", 2),
+    ("down.bin", b"SPTS" + struct.pack("<IQ", 1, 3) + np.array([3e-4, 1e-4, 2e-4]).tobytes(), 2),
+], ids=["text", "decreasing_csv", "decreasing_bin"])
+def test_hist_untrusted_timestamps_is_data_error(runner, tmp_path, name, content, row):
+    ts = tmp_path / name
+    ts.write_bytes(content)
+    result = runner.invoke(cli, ["hist", str(ts), "--out", str(tmp_path / "h.csv")])
+    assert result.exit_code == 3, result.output
+    assert str(ts) in result.output
+    if row is not None:
+        assert f"row {row}" in result.output
+    assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("extra, digest", [
+    (["--ri", "5.23e8"], "f2a0532495ec249208efffb217d8db0824a1cfe189f85b911f9126384886ffb3"),
+    # the first block holds stamps below 1e-6 and goes through the f-string
+    (["--ri", "5e9", "--tau-d", "1e-6", "--tau-p1", "15e-9", "--tau-p2", "27e-9"],
+     "7ab7e22e5ce737093ef3e9e6965d80c960e1d90f11c2576bac758e32d4e17ec5"),
+], ids=["readme", "fallback_block"])
+def test_simulate_csv_golden_bytes(runner, tmp_path, extra, digest):
+    ts = tmp_path / "ts.csv"
+    result = runner.invoke(cli, ["simulate", *extra, "--events", "20000", "--seed", "0",
+                                 "--out", str(ts)])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(ts.read_bytes()).hexdigest() == digest
+
+
+def test_simulate_out_of_memory_is_data_error(runner, tmp_path, monkeypatch):
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 6.94 EiB for an array")
+
+    monkeypatch.setattr(simulate, "simulate", exhausted)
+    result = runner.invoke(cli, _simulate_args(tmp_path / "x.csv", events="1e18"))
+    assert result.exit_code == 3, result.output
+    assert "error: out of memory: Unable to allocate 6.94 EiB" in result.output
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_import_loads_no_quadrature_or_optimiser():

@@ -221,6 +221,42 @@ def test_csv_round_trip(paper_params, tmp_path):
     np.testing.assert_array_equal(back, series.times)
 
 
+def _g17_lines(x):
+    return "".join(f"{t:.17g}\n" for t in x.tolist()).encode()
+
+
+def _halfway_values(rng, per_exponent=2000):
+    """Values t with E = floor(log10 t) whose t * 10**(16 - E) ends in exactly 1/2."""
+    out = []
+    for e in range(-6, 16):
+        scale = 2.0 ** (17 - e)  # odd / 2**(17 - e) times 10**(16 - e) is odd * 5**(16 - e) / 2
+        lo, hi = 10.0 ** e * scale, min(10.0 ** (e + 1) * scale, 2.0 ** 53)
+        out.append((rng.integers(lo // 2, hi // 2, per_exponent) * 2 + 1) / scale)
+    return np.concatenate(out)
+
+
+def test_line_kernel_matches_fstring():
+    rng = np.random.default_rng(23)
+    powers = np.array([float(f"1e{e}") for e in range(-6, 18)])
+    grid = np.array([float(f"{d}e{e - 16}") for d, e in zip(
+        rng.integers(10 ** 16, 10 ** 17, 20_000).tolist(), rng.integers(-6, 17, 20_000).tolist())])
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        grid, np.nextafter(grid, 0), np.nextafter(grid, np.inf),
+        _halfway_values(rng),
+        10 ** rng.uniform(-6, 17, 100_000),
+    ])
+    exact = values[(values > 1e-6) & (values < 1e17)]
+    assert exact.size > 0.99 * values.size
+    assert simulate._format_lines(exact).split(b"\n") == _g17_lines(exact).split(b"\n")
+    # sorted blocks mostly hold one decimal exponent, as timestamp blocks do
+    for block in np.array_split(np.sort(exact), 200):
+        assert simulate._format_lines(block) == _g17_lines(block)
+    # one value outside (1e-6, 1e17) sends the block through the f-string
+    mixed = np.concatenate([[0.0, 5e-7, 1e-6, 1e17, 3e20, -1.5], exact[:1000]])
+    assert simulate._format_lines(mixed) == _g17_lines(mixed)
+
+
 def test_binary_round_trip(paper_params, tmp_path):
     series = simulate.simulate(_config(paper_params, 1e6, n_events=500, seed=20))
     path = tmp_path / "ts.bin"
