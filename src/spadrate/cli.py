@@ -26,7 +26,7 @@ from . import __version__, er, inference, nhpp, paralyzing, simulate
 from .exceptions import DegenerateDataError, FitError, IntegrationError, SaturationError
 
 _OUTDIR_ENV = "SPADRATE_OUTDIR"
-_MAX_EVENTS = np.iinfo(np.intp).max // 8  # numpy caps an array at intp-max bytes
+_MODELS = ("simple", "er", "low", "high")
 
 
 def _out_path(name: str | None, default: str) -> Path:
@@ -175,8 +175,8 @@ def cmd_simulate(ctx, **kw):
         raise click.UsageError("--ri is required (directly or via --config)")
     if (kw["events"] is None) == (kw["duration"] is None):
         raise click.UsageError("specify exactly one of --events or --duration")
-    if kw["events"] is not None and not 1 <= kw["events"] <= _MAX_EVENTS:
-        raise click.UsageError(f"--events must be a count from 1 to {_MAX_EVENTS}, "
+    if kw["events"] is not None and not 1 <= kw["events"] <= inference.MAX_ARRAY_LENGTH:
+        raise click.UsageError(f"--events must be a count from 1 to {inference.MAX_ARRAY_LENGTH}, "
                                "the most float64 values one array can hold")
 
     params = _validated(er.ErParams, eta0=kw["eta0"], tau_d=kw["tau_d"], tau_r=kw["tau_r"])
@@ -226,6 +226,9 @@ def cmd_hist(ctx, timestamps, bin_width, bounds, out):
         times = simulate.read_timestamps_csv(timestamps)
     if times.size == 0:
         raise DegenerateDataError(f"no timestamps in {timestamps}")
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise DegenerateDataError(f"{timestamps}: timestamp at row {bad[0] + 1} is not finite")
     gaps = simulate.intervals(times)
     down = np.flatnonzero(gaps < 0)
     if down.size:
@@ -315,7 +318,7 @@ def cmd_fit(ctx, histogram, fix, init, ri, dark, out, curve):
 @cli.command(name="infer")
 @_detector_options
 @click.option("--rate", type=_POSITIVE, required=True, help="Measured detection rate [1/s].")
-@click.option("--model", type=click.Choice(["simple", "er", "low", "high"]),
+@click.option("--model", type=click.Choice(_MODELS),
               default="er", show_default=True, help="Rate equation to invert.")
 @click.option("--dark", type=_NON_NEGATIVE, default=0.0, show_default=True,
               help="A priori dark-count rate [1/s] to subtract.")
@@ -360,7 +363,7 @@ def cmd_infer(ctx, eta0, tau_d, tau_r, rate, model, dark, out):
               help="Sweep end: a priori rate [1/s].")
 @click.option("--points", type=int, default=25, show_default=True,
               help="Number of log-spaced sweep points.")
-@click.option("--model", type=click.Choice(["er", "simple", "low", "high"]),
+@click.option("--model", type=click.Choice(_MODELS),
               default="er", show_default=True, help="Mean-on-time model.")
 @click.option("--tau-p1", type=float, default=0.0, show_default=True,
               help="Paralyzable-time window [s]; >0 adds paralyzing prolongation (er model only).")
@@ -385,19 +388,10 @@ def cmd_tabulate(ctx, eta0, tau_d, tau_r, sweep_from, sweep_to, points, model,
         grid = np.array([sweep_from])
     else:
         grid = np.logspace(np.log10(sweep_from), np.log10(sweep_to), points)
-
-    def mean_of(r_star: float) -> float:
-        if model == "er":
-            if par.tau_p1 > 0:
-                return paralyzing.paralyzing_mean_on_time(par, r_star, tau_r)
-            return er.er_mean_on_time(r_star, tau_r)
-        if model == "simple":
-            return 1.0 / r_star
-        if model == "low":
-            return er.approx_low_mean(r_star, tau_r)
-        return er.approx_high_mean(r_star, tau_r)
-
-    means = [mean_of(r_star) for r_star in grid.tolist()]
+    _, mean_of, _ = inference._RATE_MODELS[model]
+    if par.tau_p1 > 0:
+        mean_of = functools.partial(paralyzing.paralyzing_mean_on_time, par)
+    means = [mean_of(r_star, tau_r) for r_star in grid.tolist()]
     measured = [nhpp.rate_forward(mean, tau_d) for mean in means]
     out = _out_path(out, "sweep.csv")
     inference.write_table(out, "r_star_hz,mean_on_time_s,rate_hz", "{:.10g},{:.12g},{:.12g}",

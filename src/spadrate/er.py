@@ -172,23 +172,15 @@ def er_interval_pdf(delta, params: ErParams, source: SourceParams):
     The interval is the dead-time plus the detector-on time, so the
     density is the on-time density shifted by tau_d and zero below it.
     """
-    r_star = source.apriori_rate(params)
-    delta = np.asarray(delta, dtype=float)
-    shifted = np.where(delta >= params.tau_d, delta - params.tau_d, 0.0)
-    out = np.where(
-        delta >= params.tau_d,
-        er_pdf(shifted, r_star, params.tau_r),
-        0.0,
-    )
+    shifted = np.maximum(np.asarray(delta, dtype=float) - params.tau_d, 0.0)
+    out = er_pdf(shifted, source.apriori_rate(params), params.tau_r)
     return out if out.ndim else float(out)
 
 
 def er_interval_cdf(delta, params: ErParams, source: SourceParams):
     """CDF companion of :func:`er_interval_pdf` (useful for exact binning)."""
-    r_star = source.apriori_rate(params)
-    delta = np.asarray(delta, dtype=float)
-    shifted = np.where(delta >= params.tau_d, delta - params.tau_d, 0.0)
-    out = np.where(delta >= params.tau_d, er_cdf(shifted, r_star, params.tau_r), 0.0)
+    shifted = np.maximum(np.asarray(delta, dtype=float) - params.tau_d, 0.0)
+    out = er_cdf(shifted, source.apriori_rate(params), params.tau_r)
     return out if out.ndim else float(out)
 
 
@@ -253,9 +245,8 @@ def approx_low_mean(r_star: float, tau_r: float) -> float:
 
 
 def approx_low_forward(r_star: float, params: ErParams) -> float:
-    """Rate equation with the low-rate recovery correction added to tau_d."""
-    tau_r = params.tau_r
-    return 1.0 / (1.0 / r_star + params.tau_d + tau_r / (1.0 + tau_r * r_star))
+    """Rate equation 1 / (<t> + tau_d) of the low-rate mean :func:`approx_low_mean`."""
+    return nhpp.rate_forward(approx_low_mean(r_star, params.tau_r), params.tau_d)
 
 
 def approx_low_inverse(r: float, params: ErParams) -> float:
@@ -286,11 +277,17 @@ def approx_high_mean(r_star: float, tau_r: float) -> float:
 
 
 def approx_high_forward(r_star: float, params: ErParams) -> float:
-    """Leading-term rate equation 1 / (sqrt(pi*tau_r/2r_star) + tau_d)."""
-    return 1.0 / (np.sqrt(np.pi * params.tau_r / (2.0 * r_star)) + params.tau_d)
+    """Rate equation 1 / (<t> + tau_d) of the two-term mean :func:`approx_high_mean`."""
+    return nhpp.rate_forward(approx_high_mean(r_star, params.tau_r), params.tau_d)
 
 
 def approx_high_inverse(r: float, params: ErParams) -> float:
-    """Exact algebraic inverse of :func:`approx_high_forward`."""
+    """Exact algebraic inverse of :func:`approx_high_forward`, in closed form.
+
+    With s = r_star^-1/2 and c = sqrt(pi*tau_r/2) the mean is c*s + s^2/3,
+    so s is the positive root of s^2/3 + c*s = 1/r - tau_d.
+    """
     u = 1.0 / nhpp.simple_rate_inverse(r, params.tau_d)  # 1/r - tau_d, validated
-    return np.pi * params.tau_r / 2.0 / (u * u)
+    c = np.sqrt(np.pi * params.tau_r / 2.0)
+    s = 2.0 * u / (c + np.sqrt(c * c + 4.0 * u / 3.0))  # the root without cancellation
+    return 1.0 / (s * s)

@@ -40,6 +40,9 @@ __all__ = [
 
 _PARAM_NAMES = ("r_star", "tau_d", "tau_r", "scale")
 
+# numpy caps an array at intp-max bytes, so no array of 8-byte values is longer
+MAX_ARRAY_LENGTH = np.iinfo(np.intp).max // 8
+
 
 @dataclass
 class IntervalHistogram:
@@ -130,11 +133,14 @@ def build_histogram(
     With ``bounds = (lo, hi)`` the origin is lo and values outside
     [lo, hi) go to the overflow tally.  Without bounds the origin is 0,
     everything at or above it is kept and the bin array extends to the
-    maximum.
+    maximum.  Non-finite intervals, and more bins than one array can
+    hold, raise ValueError.
     """
     if not 0 < bin_width < np.inf:
         raise ValueError(f"bin_width must be finite and positive, got {bin_width}")
     values = np.asarray(intervals, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("intervals must be finite")
     if values.size == 0:
         return IntervalHistogram(bin_width=bin_width, counts=np.zeros(0, dtype=np.int64),
                                  origin=bounds[0] if bounds else 0.0)
@@ -144,13 +150,17 @@ def build_histogram(
         if not -np.inf < lo < hi < np.inf:
             raise ValueError(f"bounds must be finite with lo < hi, got {bounds}")
         origin = lo
-        n_bins = int(np.ceil((hi - lo) / bin_width - 1e-12))
-    idx = np.floor((values - origin) / bin_width).astype(np.int64)
+        n_bins = np.ceil((hi - lo) / bin_width - 1e-12)
+    idx = np.floor((values - origin) / bin_width)
     if n_bins is None:
-        in_range = idx >= 0
-        n_bins = int(idx[in_range].max()) + 1 if np.any(in_range) else 0
-    else:
-        in_range = (idx >= 0) & (idx < n_bins)
+        n_bins = max(idx.max() + 1, 0.0)
+    if n_bins > MAX_ARRAY_LENGTH:
+        raise ValueError(f"bin_width {bin_width:g} gives {n_bins:.3g} bins, more than the "
+                         f"{MAX_ARRAY_LENGTH} one array can hold")
+    n_bins = int(n_bins)
+    # clipped to one bin either side of the range, every index fits an int64
+    idx = np.clip(idx, -1, n_bins, out=idx).astype(np.int64)
+    in_range = (idx >= 0) & (idx < n_bins)
     counts = np.bincount(idx[in_range], minlength=n_bins)
     return IntervalHistogram(
         bin_width=bin_width,
@@ -424,14 +434,20 @@ class InferredRate:
     clipped: bool = False
 
 
-_MODEL_ALIASES = {
-    "simple": "simple",
-    "er": "er",
-    "approx_low": "approx_low",
-    "low": "approx_low",
-    "approx_high": "approx_high",
-    "high": "approx_high",
+# Every name of a rate model -> (name InferredRate reports, mean on-time
+# (r_star, tau_r), inverse (measured rate, ErParams) of 1 / (mean + tau_d)).
+# The lambdas look a function up on its module per call, so wrappers see it.
+_RATE_MODELS = {
+    "simple": ("simple", lambda r_star, tau_r: 1.0 / r_star,
+               lambda r, params: nhpp.simple_rate_inverse(r, params.tau_d)),
+    "er": ("er", lambda r_star, tau_r: er.er_mean_on_time(r_star, tau_r),
+           lambda r, params: er.er_rate_inverse(r, params)),
+    "approx_low": ("approx_low", lambda r_star, tau_r: er.approx_low_mean(r_star, tau_r),
+                   lambda r, params: er.approx_low_inverse(r, params)),
+    "approx_high": ("approx_high", lambda r_star, tau_r: er.approx_high_mean(r_star, tau_r),
+                    lambda r, params: er.approx_high_inverse(r, params)),
 }
+_RATE_MODELS.update(low=_RATE_MODELS["approx_low"], high=_RATE_MODELS["approx_high"])
 
 
 def infer_apriori_rate(
@@ -446,20 +462,12 @@ def infer_apriori_rate(
     flagged rather than raised: it simply means the measurement is
     consistent with dark counts alone.
     """
-    try:
-        kind = _MODEL_ALIASES[model]
-    except KeyError:
-        raise ValueError(f"unknown model {model!r}; choose from {sorted(set(_MODEL_ALIASES))}")
+    if model not in _RATE_MODELS:
+        raise ValueError(f"unknown model {model!r}; choose from {sorted(_RATE_MODELS)}")
+    kind, _, inverse = _RATE_MODELS[model]
     if not 0 <= dark_apriori < np.inf:
         raise ValueError(f"dark rate must be finite and non-negative, got {dark_apriori}")
-    if kind == "simple":
-        total = nhpp.simple_rate_inverse(r_measured, params.tau_d)
-    elif kind == "er":
-        total = er.er_rate_inverse(r_measured, params)
-    elif kind == "approx_low":
-        total = er.approx_low_inverse(r_measured, params)
-    else:
-        total = er.approx_high_inverse(r_measured, params)
+    total = inverse(r_measured, params)
     photon = total - dark_apriori
     clipped = photon < 0
     return InferredRate(

@@ -60,6 +60,21 @@ def mp_mean_on_time(r_star: float, tau_r: float, dps: int = 40) -> float:
         return float(tau_r * mpmath.exp(a) * a ** (-a) * mpmath.gammainc(a, 0, a))
 
 
+def mp_er_law(r_star: float, tau_r: float, t: float, dps: int = 40) -> tuple[float, float, float]:
+    """Hazard, pdf and cdf of the ER on-time at t, in mpmath.
+
+    Callers skip unless mpmath is installed.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        r_star, tau_r, t = mpmath.mpf(r_star), mpmath.mpf(tau_r), mpmath.mpf(t)
+        recovered = -mpmath.expm1(-t / tau_r)
+        hazard = r_star * (t - tau_r * recovered)
+        pdf = r_star * recovered * mpmath.exp(-hazard)
+        return float(hazard), float(pdf), float(-mpmath.expm1(-hazard))
+
+
 def _window_points(r_star: float, tau_r: float, tau_p1: float) -> list[float]:
     """Breakpoints on [0, tau_p1] at hazard levels and at decades of tau_r.
 

@@ -249,7 +249,10 @@ def test_hist_without_timestamps_is_data_error(runner, tmp_path, name):
     ("text.csv", b"1e-4\nabc\n", None),
     ("down.csv", b"3e-4\n1e-4\n2e-4\n", 2),
     ("down.bin", b"SPTS" + struct.pack("<IQ", 1, 3) + np.array([3e-4, 1e-4, 2e-4]).tobytes(), 2),
-], ids=["text", "decreasing_csv", "decreasing_bin"])
+    ("nan.csv", b"1e-4\nnan\n3e-4\n4e-4\n", 2),
+    ("inf.csv", b"1e-4\n2e-4\ninf\n", 3),
+    ("nan.bin", b"SPTS" + struct.pack("<IQ", 1, 3) + np.array([1e-4, np.nan, 3e-4]).tobytes(), 2),
+], ids=["text", "decreasing_csv", "decreasing_bin", "nan_csv", "inf_csv", "nan_bin"])
 def test_hist_untrusted_timestamps_is_data_error(runner, tmp_path, name, content, row):
     ts = tmp_path / name
     ts.write_bytes(content)
@@ -258,6 +261,21 @@ def test_hist_untrusted_timestamps_is_data_error(runner, tmp_path, name, content
     assert str(ts) in result.output
     if row is not None:
         assert f"row {row}" in result.output
+    assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--range", "0", "1e-3"]], ids=["unbounded", "range"])
+def test_hist_more_bins_than_one_array_is_usage_error(runner, tmp_path, monkeypatch, extra):
+    def never(*args, **kwargs):
+        raise AssertionError("no bin array may be allocated")
+
+    ts = tmp_path / "ts.csv"
+    ts.write_bytes(b"1e-4\n2e-4\n3e-4\n")
+    monkeypatch.setattr(np, "bincount", never)
+    result = runner.invoke(cli, ["hist", str(ts), "--bin-width", "1e-25", *extra,
+                                 "--out", str(tmp_path / "h.csv")])
+    assert result.exit_code == 2, result.output
+    assert "bin_width" in result.output
     assert not (tmp_path / "h.csv").exists()
 
 
@@ -437,6 +455,19 @@ def test_tabulate_single_point(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert _read_sweep(out).shape == (1, 3)
+
+
+@pytest.mark.parametrize("model", ["simple", "er", "low", "high"])
+def test_tabulate_then_infer_round_trips(runner, tmp_path, model):
+    sweep, report = tmp_path / "sweep.csv", tmp_path / "infer.json"
+    result = runner.invoke(cli, ["tabulate", "--from", "1e8", "--to", "1e8", "--points", "1",
+                                 "--model", model, "--out", str(sweep)])
+    assert result.exit_code == 0, result.output
+    rate = sweep.read_text().splitlines()[1].split(",")[2]
+    result = runner.invoke(cli, ["infer", "--rate", rate, "--model", model,
+                                 "--out", str(report)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(report.read_text())["total_apriori_hz"] == pytest.approx(1e8, rel=1e-7)
 
 
 def test_tabulate_slope_transition(runner, tmp_path):

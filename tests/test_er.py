@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -140,6 +140,12 @@ def test_interval_pdf_dead_time_shift(paper_params):
     )
 
 
+def test_interval_law_propagates_nan(paper_params):
+    src = er.SourceParams(photon_rate=5.23e7)
+    assert np.isnan(er.er_interval_pdf(np.nan, paper_params, src))
+    assert np.isnan(er.er_interval_cdf(np.nan, paper_params, src))
+
+
 def test_interval_pdf_dark_rate_is_additive(paper_params):
     src = er.SourceParams(photon_rate=5.23e7, dark_apriori=858.0)
     delta = paper_params.tau_d + 90e-9
@@ -227,6 +233,27 @@ def test_mean_matches_mpmath_oracle(a):
     r_star = a / TAU_R
     exact = helpers.mp_mean_on_time(r_star, TAU_R)
     assert abs(er.er_mean_on_time(r_star, TAU_R) / exact - 1) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_rt=st.floats(min_value=-8, max_value=6))
+def test_mean_matches_mpmath_oracle_property(log_rt):
+    pytest.importorskip("mpmath")
+    r_star = 10.0**log_rt / TAU_R
+    exact = helpers.mp_mean_on_time(r_star, TAU_R)
+    assert abs(er.er_mean_on_time(r_star, TAU_R) / exact - 1) <= 1e-13
+
+
+@settings(max_examples=400, deadline=None)
+@given(log_rt=st.floats(min_value=-8, max_value=8), log_x=st.floats(min_value=-10, max_value=11))
+def test_pdf_and_cdf_match_mpmath_oracle_property(log_rt, log_x):
+    # exp(-H) turns the hazard's rounding into a pdf error growing with H
+    pytest.importorskip("mpmath")
+    r_star, t = 10.0**log_rt / TAU_R, 10.0**log_x * TAU_R
+    hazard, pdf, cdf = helpers.mp_er_law(r_star, TAU_R, t)
+    assume(hazard <= 600)
+    assert abs(er.er_pdf(t, r_star, TAU_R) / pdf - 1) <= 1e-14 * max(1.0, hazard)
+    assert abs(er.er_cdf(t, r_star, TAU_R) / cdf - 1) <= 1e-14
 
 
 @pytest.mark.parametrize("a", [1e7, 1e8])
@@ -347,6 +374,14 @@ def test_approx_high_round_trip(paper_params):
         r_star = rt / paper_params.tau_r
         r = er.approx_high_forward(r_star, paper_params)
         assert er.approx_high_inverse(r, paper_params) == pytest.approx(r_star, rel=1e-11)
+
+
+@pytest.mark.parametrize("rt, tol", [(1e2, 2e-3), (1e4, 2e-5)])
+def test_approx_high_inverse_of_exact_rate(paper_params, rt, tol):
+    # the inverse solves the two-term mean, whose error falls faster than 1/rt
+    r_star = rt / paper_params.tau_r
+    r = er.er_rate_forward(r_star, paper_params)
+    assert er.approx_high_inverse(r, paper_params) == pytest.approx(r_star, rel=tol)
 
 
 def test_approx_high_pdf_peak_location():

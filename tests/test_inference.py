@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,23 @@ def test_build_histogram_bounds_and_overflow():
     assert hist.origin == 1.0
     assert list(hist.counts) == [1, 1]
     assert hist.overflow == 2
+
+
+def test_build_histogram_tallies_huge_interval_as_overflow():
+    # the interval lies 1e24 bins out, far past the int64 range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist = inference.build_histogram([1e-9, 2e-9, 1e15], 1e-9, bounds=(0.0, 1e-6))
+    assert hist.counts[1] == 1
+    assert hist.counts[2] == 1
+    assert hist.total == 2
+    assert hist.overflow == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_histogram_rejects_non_finite_intervals(bad):
+    with pytest.raises(ValueError, match="finite"):
+        inference.build_histogram([1e-9, bad, 3e-9], 1e-9)
 
 
 def test_build_histogram_rejects_bad_width():
