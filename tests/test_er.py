@@ -378,7 +378,7 @@ def test_approx_high_round_trip(paper_params):
 
 @pytest.mark.parametrize("rt, tol", [(1e2, 2e-3), (1e4, 2e-5)])
 def test_approx_high_inverse_of_exact_rate(paper_params, rt, tol):
-    # the inverse solves the two-term mean, whose error falls faster than 1/rt
+    # the inverse solves the two-term mean, whose relative error falls as 1/rt
     r_star = rt / paper_params.tau_r
     r = er.er_rate_forward(r_star, paper_params)
     assert er.approx_high_inverse(r, paper_params) == pytest.approx(r_star, rel=tol)
