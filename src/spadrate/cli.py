@@ -229,10 +229,12 @@ def cmd_hist(ctx, timestamps, bin_width, bounds, out):
     bad = np.flatnonzero(~np.isfinite(times))
     if bad.size:
         raise DegenerateDataError(f"{timestamps}: timestamp at row {bad[0] + 1} is not finite")
-    gaps = simulate.intervals(times)
-    down = np.flatnonzero(gaps < 0)
-    if down.size:
-        raise DegenerateDataError(f"{timestamps}: timestamps decrease at row {down[0] + 2}")
+    with np.errstate(over="ignore"):
+        gaps = simulate.intervals(times)
+    bad = np.flatnonzero((gaps < 0) | (gaps == np.inf))
+    if bad.size:
+        what = "decrease" if gaps[bad[0]] < 0 else "lie too far apart for a float interval"
+        raise DegenerateDataError(f"{timestamps}: timestamps {what} at row {bad[0] + 2}")
     hist = _validated(
         inference.build_histogram, gaps, bin_width, bounds=tuple(bounds) if bounds else None,
     )
@@ -241,7 +243,7 @@ def cmd_hist(ctx, timestamps, bin_width, bounds, out):
     config = {"timestamps": str(timestamps), "bin_width": bin_width,
               "range": list(bounds) if bounds else None}
     manifest = _write_manifest(Path(out), "hist", config, [str(timestamps)], [str(out)])
-    click.echo(f"wrote {hist.counts.size} bins ({hist.total} intervals, "
+    click.echo(f"wrote {hist.n_bins} bins ({hist.total} intervals, "
                f"{hist.overflow} overflow) to {out}")
     click.echo(f"manifest: {manifest}")
 
@@ -296,9 +298,10 @@ def cmd_fit(ctx, histogram, fix, init, ri, dark, out, curve):
 
     curve_path = Path(curve) if curve else Path(out).with_name(Path(out).stem + "_curve.csv")
     expected = inference.expected_counts(hist, result.r_star, result.tau_d, result.tau_r,
-                                         result.scale)
+                                         result.scale, populated=True)
+    centers = hist.origin + hist.bin_width * hist.index + 0.5 * hist.bin_width
     inference.write_table(curve_path, "bin_center_s,count,expected_count",
-                          "{:.17g},{},{:.10g}", hist.bin_centers, hist.counts, expected)
+                          "{:.17g},{},{:.10g}", centers, hist.tally, expected)
 
     config = {"histogram": str(histogram), "fix": list(fix), "init": list(init),
               "ri": ri, "dark": dark}

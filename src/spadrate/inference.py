@@ -44,71 +44,99 @@ _PARAM_NAMES = ("r_star", "tau_d", "tau_r", "scale")
 MAX_ARRAY_LENGTH = np.iinfo(np.intp).max // 8
 
 
-@dataclass
-class IntervalHistogram:
-    """Counts of inter-detection intervals in uniform half-open bins.
+_V2_KEYS = ("bin_width", "origin", "n_bins", "overflow")
+_V2_LAYOUT = ["# spadrate interval histogram v2", *(f"# {key}" for key in _V2_KEYS),
+              "bin_index,count"]
 
-    Bin j covers [origin + j*bin_width, origin + (j+1)*bin_width); a value
-    exactly on an edge belongs to the bin starting there.  Values outside
-    the configured range are dropped and tallied in ``overflow``.
+
+class IntervalHistogram:
+    """Counts of intervals in bins [origin + j*bin_width, origin + (j+1)*bin_width), j < n_bins.
+
+    A value exactly on an edge belongs to the bin starting there; values
+    outside the range are tallied in ``overflow``.  Only the populated bins
+    are stored, as their increasing ``index`` and their ``tally``.  The
+    constructor takes every bin's ``counts``, or the tally as ``counts`` with
+    ``index`` and ``n_bins``; ``counts``, ``bin_edges`` and ``bin_centers``
+    are dense arrays of n_bins.
     """
 
-    bin_width: float
-    counts: np.ndarray
-    origin: float = 0.0
-    overflow: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.bin_width < np.inf:
-            raise ValueError(f"bin_width must be finite and positive, got {self.bin_width}")
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if np.any(self.counts < 0):
+    def __init__(self, bin_width: float, counts, origin: float = 0.0, overflow: int = 0, *,
+                 index=None, n_bins: int | None = None):
+        tally = np.asarray(counts, dtype=np.int64)
+        if index is None:
+            index, n_bins = np.flatnonzero(tally), tally.size
+            tally = tally[index]
+        index = np.asarray(index, dtype=np.int64)
+        if not 0 < bin_width < np.inf:
+            raise ValueError(f"bin_width must be finite and positive, got {bin_width}")
+        if np.any(tally < 0):
             raise ValueError("counts must be non-negative")
+        if not (np.isfinite(origin) and 0 <= n_bins <= MAX_ARRAY_LENGTH and overflow >= 0
+                and np.all(np.diff(index) > 0)
+                and (index.size == 0 or 0 <= index[0] <= index[-1] < n_bins)):
+            raise ValueError(f"a histogram needs a finite origin, 0 <= n_bins <= {MAX_ARRAY_LENGTH}"
+                             ", overflow >= 0 and bin indices that increase below n_bins")
+        self.bin_width, self.origin = float(bin_width), float(origin)
+        self.n_bins, self.overflow = int(n_bins), int(overflow)
+        self.index, self.tally = index[tally > 0], tally[tally > 0]
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        return int(self.tally.sum())
+
+    @property
+    def counts(self) -> np.ndarray:
+        counts = np.zeros(self.n_bins, dtype=np.int64)
+        counts[self.index] = self.tally
+        return counts
 
     @property
     def bin_edges(self) -> np.ndarray:
-        return self.origin + self.bin_width * np.arange(self.counts.size + 1)
-
-    @property
-    def bin_lefts(self) -> np.ndarray:
-        return self.bin_edges[:-1]
+        return self.origin + self.bin_width * np.arange(self.n_bins + 1)
 
     @property
     def bin_centers(self) -> np.ndarray:
-        return self.bin_lefts + 0.5 * self.bin_width
+        return self.bin_edges[:-1] + 0.5 * self.bin_width
 
     def to_csv(self, path) -> None:
-        write_table(path, "bin_left_s,count", "{:.17g},{}", self.bin_lefts, self.counts)
+        """Write file v2: exact ``repr`` header values, then one row per populated bin."""
+        meta = [f"# {key}={getattr(self, key)!r}" for key in _V2_KEYS]
+        write_table(path, "\r\n".join([_V2_LAYOUT[0], *meta, _V2_LAYOUT[-1]]), "{},{}",
+                    self.index, self.tally)
 
     @classmethod
     def from_csv(cls, path) -> "IntervalHistogram":
-        """Read a ``to_csv`` file; a malformed one raises ValueError naming the path."""
+        """Read a ``to_csv`` file, or a dense v1 file of ``bin_left_s,count`` rows.
+
+        A malformed file raises ValueError naming the path.
+        """
         with open(path) as fh:
-            if [h.strip() for h in fh.readline().split(",")[:2]] != ["bin_left_s", "count"]:
-                raise ValueError(f"{path}: expected header 'bin_left_s,count'")
+            first = fh.readline().strip()
+            v1 = [h.strip() for h in first.split(",")[:2]] == ["bin_left_s", "count"]
+            lines = [] if v1 else [fh.readline().strip() for _ in _V2_LAYOUT[1:]]
+            if not v1 and [first, *(line.partition("=")[0] for line in lines)] != _V2_LAYOUT:
+                raise ValueError(f"{path}: expected a v2 header or 'bin_left_s,count'")
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                             UserWarning)
                     rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=1,
-                                      dtype=[("left", float), ("count", np.int64)])
+                                      dtype=[("bin", float if v1 else np.int64),
+                                             ("count", np.int64)])
+                if not v1:
+                    bin_width, origin, n_bins, overflow = (x.partition("=")[2] for x in lines[:-1])
+                    return cls(float(bin_width), rows["count"], float(origin), int(overflow),
+                               index=rows["bin"], n_bins=int(n_bins))
+                if rows.size == 0:
+                    return cls(bin_width=1.0, counts=np.zeros(0, dtype=np.int64))
+                if rows.size == 1:
+                    raise ValueError("cannot infer bin width from a single bin")
+                widths = np.diff(rows["bin"])
+                if not np.allclose(widths, widths[0], rtol=1e-6, atol=0):
+                    raise ValueError("bins are not uniform")
+                return cls(float(widths[0]), rows["count"], origin=float(rows["bin"][0]))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-        if np.any(rows["count"] < 0):
-            raise ValueError(f"{path}: counts must be non-negative")
-        if rows.size == 0:
-            return cls(bin_width=1.0, counts=np.zeros(0, dtype=np.int64))
-        if rows.size == 1:
-            raise ValueError(f"{path}: cannot infer bin width from a single bin")
-        widths = np.diff(rows["left"])
-        width = float(widths[0])
-        if not np.allclose(widths, width, rtol=1e-6, atol=0):
-            raise ValueError(f"{path}: bins are not uniform")
-        return cls(bin_width=width, counts=rows["count"], origin=float(rows["left"][0]))
 
 
 def write_table(path, header: str, row_format: str, *columns) -> None:
@@ -132,42 +160,40 @@ def build_histogram(
 
     With ``bounds = (lo, hi)`` the origin is lo and values outside
     [lo, hi) go to the overflow tally.  Without bounds the origin is 0,
-    everything at or above it is kept and the bin array extends to the
-    maximum.  Non-finite intervals, and more bins than one array can
-    hold, raise ValueError.
+    everything at or above it is kept and the bins extend to the maximum.
+    Non-finite intervals, and more bins than one array could hold, raise
+    ValueError.  An array of n_bins is made only when there are at least
+    half as many intervals as bins, where bincount beats unique's sort.
     """
     if not 0 < bin_width < np.inf:
         raise ValueError(f"bin_width must be finite and positive, got {bin_width}")
     values = np.asarray(intervals, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("intervals must be finite")
-    if values.size == 0:
-        return IntervalHistogram(bin_width=bin_width, counts=np.zeros(0, dtype=np.int64),
-                                 origin=bounds[0] if bounds else 0.0)
     origin, n_bins = 0.0, None
-    if bounds is not None:
-        lo, hi = bounds
-        if not -np.inf < lo < hi < np.inf:
-            raise ValueError(f"bounds must be finite with lo < hi, got {bounds}")
-        origin = lo
-        n_bins = np.ceil((hi - lo) / bin_width - 1e-12)
-    idx = np.floor((values - origin) / bin_width)
+    # a quotient past the float range is an index past any bin count: inf is fine
+    with np.errstate(over="ignore"):
+        if bounds is not None:
+            lo, hi = bounds
+            if not -np.inf < lo < hi < np.inf:
+                raise ValueError(f"bounds must be finite with lo < hi, got {bounds}")
+            origin = lo
+            n_bins = np.ceil((hi - lo) / bin_width - 1e-12)
+        idx = np.floor((values - origin) / bin_width)
     if n_bins is None:
-        n_bins = max(idx.max() + 1, 0.0)
+        n_bins = max(idx.max(initial=-1.0) + 1, 0.0)
     if n_bins > MAX_ARRAY_LENGTH:
         raise ValueError(f"bin_width {bin_width:g} gives {n_bins:.3g} bins, more than the "
                          f"{MAX_ARRAY_LENGTH} one array can hold")
     n_bins = int(n_bins)
-    # clipped to one bin either side of the range, every index fits an int64
+    # clip and cast before selecting: every index fits an int64, and a README run peaks lower
     idx = np.clip(idx, -1, n_bins, out=idx).astype(np.int64)
-    in_range = (idx >= 0) & (idx < n_bins)
-    counts = np.bincount(idx[in_range], minlength=n_bins)
-    return IntervalHistogram(
-        bin_width=bin_width,
-        counts=counts,
-        origin=origin,
-        overflow=int(values.size - in_range.sum()),
-    )
+    idx = idx[(idx >= 0) & (idx < n_bins)]
+    overflow = values.size - idx.size
+    if n_bins <= 2 * idx.size:
+        return IntervalHistogram(bin_width, np.bincount(idx, minlength=n_bins), origin, overflow)
+    index, tally = np.unique(idx, return_counts=True)
+    return IntervalHistogram(bin_width, tally, origin, overflow, index=index, n_bins=n_bins)
 
 
 @dataclass(frozen=True)
@@ -196,20 +222,9 @@ class FitResult:
         return er.ErParams(eta0=self.eta0, tau_d=self.tau_d, tau_r=self.tau_r)
 
     def to_dict(self) -> dict:
-        return {
-            "params": {
-                "r_star": self.r_star,
-                "tau_d": self.tau_d,
-                "tau_r": self.tau_r,
-                "scale": self.scale,
-                "eta0": self.eta0,
-            },
-            "fixed": list(self.fixed),
-            "uncertainties": dict(self.uncertainties),
-            "goodness": self.goodness,
-            "iterations": self.iterations,
-            "n_bins": self.n_bins,
-        }
+        return {"params": {name: getattr(self, name) for name in (*_PARAM_NAMES, "eta0")},
+                "fixed": list(self.fixed), "uncertainties": dict(self.uncertainties),
+                "goodness": self.goodness, "iterations": self.iterations, "n_bins": self.n_bins}
 
 
 def _default_init(hist: IntervalHistogram) -> dict[str, float]:
@@ -218,15 +233,25 @@ def _default_init(hist: IntervalHistogram) -> dict[str, float]:
     Dead-time from the first populated bin, a priori rate from the mean
     interval beyond it, recovery constant from the peak position.
     """
-    counts = hist.counts
-    nonzero = np.nonzero(counts)[0]
-    lefts = hist.bin_lefts
-    tau_d0 = max(lefts[nonzero[0]] - hist.bin_width, hist.bin_width * 1e-3)
-    mean_interval = float(np.average(hist.bin_centers, weights=counts))
+    lefts = hist.origin + hist.bin_width * hist.index
+    centers = lefts + 0.5 * hist.bin_width
+    tau_d0 = max(lefts[0] - hist.bin_width, hist.bin_width * 1e-3)
+    mean_interval = float(np.average(centers, weights=hist.tally))
     r_star0 = 1.0 / max(mean_interval - tau_d0, hist.bin_width * 1e-3)
-    peak_center = hist.bin_centers[int(np.argmax(counts))]
-    tau_r0 = max(peak_center - tau_d0, hist.bin_width)
+    tau_r0 = max(centers[int(np.argmax(hist.tally))] - tau_d0, hist.bin_width)
     return {"r_star": r_star0, "tau_d": tau_d0, "tau_r": tau_r0, "scale": 1.0}
+
+
+def _segments(hist: IntervalHistogram):
+    """Edges and counts of the populated bins and of one lump per run of empty bins.
+
+    An empty run [a, b) adds scale * total * (S(a) - S(b)) to the deviance
+    however it is split, so lumping it leaves the likelihood unchanged.
+    """
+    bounds = np.unique(np.concatenate(([0, hist.n_bins], hist.index, hist.index + 1)))
+    counts = np.zeros(bounds.size - 1)
+    counts[np.searchsorted(bounds, hist.index)] = hist.tally
+    return hist.origin + hist.bin_width * bounds, counts
 
 
 def _bin_model(edges, params, total):
@@ -244,10 +269,11 @@ def _bin_model(edges, params, total):
 
 
 def expected_counts(hist: IntervalHistogram, r_star: float, tau_d: float, tau_r: float,
-                    scale: float = 1.0) -> np.ndarray:
-    """Exact expected count of every bin of ``hist``: the model the fit maximises."""
-    mu, _ = _bin_model(hist.bin_edges, (r_star, tau_d, tau_r, scale), hist.total)
-    return mu
+                    scale: float = 1.0, *, populated: bool = False) -> np.ndarray:
+    """Exact expected count of every bin, or only of ``populated`` ones: the fit's model."""
+    edges, counts = _segments(hist) if populated else (hist.bin_edges, None)
+    mu, _ = _bin_model(edges, (r_star, tau_d, tau_r, scale), hist.total)
+    return mu[counts > 0] if populated else mu
 
 
 def _log_jacobian(edges, params, hazard):
@@ -336,10 +362,11 @@ def fit_er_histogram(
     mapping, at the supplied values); everything else is free.  The free
     parameters are fitted in log space by Fisher scoring on the exact
     binned likelihood, started from the best point of a coarse grid over
-    tau_r.  Bins from the first to the last populated one are modelled one
-    by one; the empty ranges on either side enter as two lumped bins,
-    which leaves the likelihood unchanged.  Uncertainties come from the
-    inverse of the expected (Fisher) information at the solution.
+    tau_r.  The populated bins are modelled one by one and each run of
+    empty bins as one lump, which leaves the likelihood unchanged; the
+    goodness keeps the degrees of freedom of every bin from the first to
+    the last populated one.  Uncertainties come from the inverse of the
+    expected (Fisher) information at the solution.
 
     Raises :class:`FitError` when a populated bin has zero expected count
     at the start (for example a dead-time held above it), or when scoring
@@ -347,24 +374,16 @@ def fit_er_histogram(
     """
     if hist.total < 1:
         raise DegenerateDataError("histogram is empty")
-    populated = np.flatnonzero(hist.counts)
-    if populated.size < 2:
+    if hist.index.size < 2:
         raise DegenerateDataError("all counts fall in a single bin; model is unidentifiable")
 
     theta = _default_init(hist)
-    if init:
-        unknown = set(init) - set(_PARAM_NAMES)
+    for kind, values in (("init", init or {}), ("fixed", fixed if isinstance(fixed, dict) else {})):
+        unknown = set(values) - set(_PARAM_NAMES)
         if unknown:
-            raise ValueError(f"unknown init parameters: {sorted(unknown)}")
-        theta.update(init)
-    if isinstance(fixed, dict):
-        unknown = set(fixed) - set(_PARAM_NAMES)
-        if unknown:
-            raise ValueError(f"unknown fixed parameters: {sorted(unknown)}")
-        theta.update(fixed)
-        fixed_names = tuple(name for name in _PARAM_NAMES if name in fixed)
-    else:
-        fixed_names = tuple(name for name in _PARAM_NAMES if name in set(fixed))
+            raise ValueError(f"unknown {kind} parameters: {sorted(unknown)}")
+        theta.update(values)
+    fixed_names = tuple(name for name in _PARAM_NAMES if name in set(fixed))
     free = np.array([name not in fixed_names for name in _PARAM_NAMES])
     if not free.any():
         raise ValueError("at least one parameter must be free")
@@ -372,10 +391,7 @@ def fit_er_histogram(
         if not 0 < theta[name] < np.inf:
             raise ValueError(f"initial {name} must be positive and finite, got {theta[name]}")
 
-    lo, hi = int(populated[0]), int(populated[-1]) + 1
-    all_edges = hist.bin_edges
-    edges = np.concatenate(([all_edges[0]], all_edges[lo:hi + 1], [all_edges[-1]]))
-    counts = np.concatenate(([0.0], hist.counts[lo:hi], [0.0]))
+    edges, counts = _segments(hist)
     start = np.array([theta[name] for name in _PARAM_NAMES])
 
     def params_of(x):
@@ -407,6 +423,7 @@ def fit_er_histogram(
     best = params_of(x)
     sigmas = best[free] * np.sqrt(np.maximum(np.diag(np.linalg.inv(information)), 0.0))
     free_names = [name for name, is_free in zip(_PARAM_NAMES, free) if is_free]
+    span = int(hist.index[-1] - hist.index[0]) + 1
 
     eta0 = None
     if photon_rate is not None and photon_rate > 0:
@@ -416,9 +433,9 @@ def fit_er_histogram(
         **dict(zip(_PARAM_NAMES, best.tolist())),
         fixed=fixed_names,
         uncertainties=dict(zip(free_names, sigmas.tolist())),
-        goodness=2.0 * value / max(hi - lo - len(free_names), 1),
+        goodness=2.0 * value / max(span - len(free_names), 1),
         iterations=iterations,
-        n_bins=hist.counts.size,
+        n_bins=hist.n_bins,
         eta0=eta0,
     )
 

@@ -107,10 +107,15 @@ def test_hist_command(runner, tmp_path):
     out = tmp_path / "h.csv"
     result = runner.invoke(cli, ["hist", str(ts), "--bin-width", "1e-9", "--out", str(out)])
     assert result.exit_code == 0, result.output
+    # file v2: a header of exact repr values, then the populated bins only
+    ref = inference.build_histogram(simulate.intervals(np.loadtxt(ts)), 1e-9)
     with open(out) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["bin_left_s", "count"]
-    assert sum(int(r[1]) for r in rows[1:]) == 19999
+    assert rows[:6] == [["# spadrate interval histogram v2"], ["# bin_width=1e-09"],
+                        ["# origin=0.0"], [f"# n_bins={ref.n_bins}"], ["# overflow=0"],
+                        ["bin_index", "count"]]
+    assert [int(r[0]) for r in rows[6:]] == ref.index.tolist()
+    assert sum(int(r[1]) for r in rows[6:]) == 19999
     assert (tmp_path / "h.manifest.json").exists()
 
 
@@ -151,6 +156,29 @@ def test_fit_command(runner, tmp_path):
 def test_fit_malformed_histogram_row_is_data_error(runner, tmp_path, row):
     hist = tmp_path / "h.csv"
     hist.write_text(f"bin_left_s,count\n0,1\n{row}\n2e-9,3\n")
+    result = runner.invoke(cli, ["fit", str(hist), "--out", str(tmp_path / "fit.json")])
+    assert result.exit_code == 3, result.output
+    assert str(hist) in result.output
+
+
+_V2_HEADER = "# spadrate interval histogram v2\n# bin_width=1e-09\n# origin=0.0\n"
+
+
+@pytest.mark.parametrize("content", [
+    _V2_HEADER + "# n_bins=5\n# overflow=0\nbin_index,count\n1,3\n1,2\n",
+    _V2_HEADER + "# n_bins=5\n# overflow=0\nbin_index,count\n3,3\n5,2\n",
+    _V2_HEADER + "# n_bins=5\n# overflow=0\nbin_index,count\n-1,3\n2,2\n",
+    _V2_HEADER + "# n_bins=5\n# overflow=0\nbin_index,count\n1.5,3\n2,2\n",
+    _V2_HEADER + "# n_bins=1e30\n# overflow=0\nbin_index,count\n1,3\n2,2\n",
+    _V2_HEADER + f"# n_bins={10**30}\n# overflow=0\nbin_index,count\n1,3\n2,2\n",
+    _V2_HEADER + "# n_bins=5\n# overflow=-1\nbin_index,count\n1,3\n2,2\n",
+    _V2_HEADER + "# overflow=0\n# n_bins=5\nbin_index,count\n1,3\n2,2\n",
+    _V2_HEADER + "# n_bins=5\n# overflow=0\n",
+], ids=["repeated", "past_n_bins", "negative", "float", "float_n_bins", "huge_n_bins",
+        "negative_overflow", "key_order", "no_rows_line"])
+def test_fit_malformed_v2_histogram_is_data_error(runner, tmp_path, content):
+    hist = tmp_path / "h.csv"
+    hist.write_text(content)
     result = runner.invoke(cli, ["fit", str(hist), "--out", str(tmp_path / "fit.json")])
     assert result.exit_code == 3, result.output
     assert str(hist) in result.output
@@ -252,7 +280,9 @@ def test_hist_without_timestamps_is_data_error(runner, tmp_path, name):
     ("nan.csv", b"1e-4\nnan\n3e-4\n4e-4\n", 2),
     ("inf.csv", b"1e-4\n2e-4\ninf\n", 3),
     ("nan.bin", b"SPTS" + struct.pack("<IQ", 1, 3) + np.array([1e-4, np.nan, 3e-4]).tobytes(), 2),
-], ids=["text", "decreasing_csv", "decreasing_bin", "nan_csv", "inf_csv", "nan_bin"])
+    ("overflow.csv", b"-1.5e308\n1.5e308\n", 2),
+], ids=["text", "decreasing_csv", "decreasing_bin", "nan_csv", "inf_csv", "nan_bin",
+        "interval_overflow_csv"])
 def test_hist_untrusted_timestamps_is_data_error(runner, tmp_path, name, content, row):
     ts = tmp_path / name
     ts.write_bytes(content)
@@ -277,6 +307,33 @@ def test_hist_more_bins_than_one_array_is_usage_error(runner, tmp_path, monkeypa
     assert result.exit_code == 2, result.output
     assert "bin_width" in result.output
     assert not (tmp_path / "h.csv").exists()
+
+
+def test_hist_bin_index_past_float_range_is_usage_error(runner, tmp_path):
+    # 1e10 / 1e-300 is past the float range: no warning, only the bin-count limit
+    ts = tmp_path / "ts.csv"
+    ts.write_bytes(b"0\n1e10\n2e10\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(cli, ["hist", str(ts), "--bin-width", "1e-300",
+                                     "--out", str(tmp_path / "h.csv")])
+    assert result.exit_code == 2, result.output
+    assert "bin_width" in result.output
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_one_bin_histogram_file_round_trips_and_fit_is_data_error(runner, tmp_path):
+    hist = inference.IntervalHistogram(bin_width=0.1 + 0.2, counts=[0, 0, 7, 0],
+                                       origin=80e-6 / 3, overflow=5)
+    path = tmp_path / "h.csv"
+    hist.to_csv(path)
+    back = inference.IntervalHistogram.from_csv(path)
+    assert (back.bin_width, back.origin, back.n_bins, back.overflow) == (
+        hist.bin_width, hist.origin, 4, 5)
+    np.testing.assert_array_equal(back.counts, [0, 0, 7, 0])
+    result = runner.invoke(cli, ["fit", str(path), "--out", str(tmp_path / "fit.json")])
+    assert result.exit_code == 3, result.output
+    assert "error: all counts fall in a single bin; model is unidentifiable" in result.output
 
 
 @pytest.mark.parametrize("extra, digest", [
@@ -312,31 +369,44 @@ def test_import_loads_no_quadrature_or_optimiser():
 
 
 def test_table_file_formats(runner, tmp_path):
-    # header, then "%.17g,%d" rows; every line ends in "\r\n"
+    # histogram file v2: a header of exact repr values, then "%d,%d" rows
+    # of the populated bins; every line ends in "\r\n"
     hist = helpers.multinomial_interval_hist(1e8, helpers.PAPER, 20_000, seed=1)
+    populated = np.flatnonzero(hist.counts)
     path = tmp_path / "h.csv"
     hist.to_csv(path)
-    rows = "".join("%.17g,%d\r\n" % row for row in zip(hist.bin_lefts, hist.counts))
-    assert path.read_bytes() == ("bin_left_s,count\r\n" + rows).encode()
+    header = ("# spadrate interval histogram v2\r\n# bin_width=1e-09\r\n# origin=0.0\r\n"
+              f"# n_bins={hist.counts.size}\r\n# overflow=0\r\nbin_index,count\r\n")
+    rows = "".join("%d,%d\r\n" % (j, hist.counts[j]) for j in populated)
+    assert path.read_bytes() == (header + rows).encode()
     back = inference.IntervalHistogram.from_csv(path)
     np.testing.assert_array_equal(back.counts, hist.counts)
     assert (back.origin, back.bin_width) == (hist.origin, hist.bin_width)
-    # a non-zero origin: the width is read back as the difference of the
-    # first two lefts, exact here because the width is a power of two
     shifted = inference.IntervalHistogram(bin_width=2.0**-30, counts=[1, 0, 2], origin=80e-6)
     shifted.to_csv(tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == (
+        b"# spadrate interval histogram v2\r\n# bin_width=9.313225746154785e-10\r\n"
+        b"# origin=8e-05\r\n# n_bins=3\r\n# overflow=0\r\nbin_index,count\r\n0,1\r\n2,2\r\n")
     back = inference.IntervalHistogram.from_csv(tmp_path / "s.csv")
     assert (back.origin, back.bin_width) == (shifted.origin, shifted.bin_width)
     np.testing.assert_array_equal(back.counts, shifted.counts)
+    # a dense v1 file, "%.17g,%d" rows of every bin's left edge, is still read
+    v1 = tmp_path / "v1.csv"
+    v1.write_bytes(("bin_left_s,count\r\n" + "".join(
+        "%.17g,%d\r\n" % row for row in zip(hist.bin_edges[:-1], hist.counts))).encode())
+    back = inference.IntervalHistogram.from_csv(v1)
+    np.testing.assert_array_equal(back.counts, hist.counts)
+    assert (back.origin, back.bin_width) == (hist.origin, hist.bin_width)
 
+    # the curve holds the populated bins only, with the dense model's values
     out = tmp_path / "fit.json"
     result = runner.invoke(cli, ["fit", str(path), "--fix", "tau_d=80.09205e-6",
                                  "--out", str(out)])
     assert result.exit_code == 0, result.output
     p = json.loads(out.read_text())["params"]
     mu = inference.expected_counts(hist, p["r_star"], p["tau_d"], p["tau_r"], p["scale"])
-    rows = "".join("%.17g,%d,%.10g\r\n" % row
-                   for row in zip(hist.bin_centers, hist.counts, mu))
+    rows = "".join("%.17g,%d,%.10g\r\n" % (hist.bin_centers[j], hist.counts[j], mu[j])
+                   for j in populated)
     expected = "bin_center_s,count,expected_count\r\n" + rows
     assert (tmp_path / "fit_curve.csv").read_bytes() == expected.encode()
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -88,6 +89,36 @@ def test_histogram_csv_round_trip(tmp_path):
     back = inference.IntervalHistogram.from_csv(path)
     assert back.bin_width == pytest.approx(hist.bin_width, rel=1e-12)
     np.testing.assert_array_equal(back.counts, hist.counts)
+
+
+def test_build_histogram_over_many_bins_allocates_only_populated_ones():
+    # 1e3 intervals over ~1e8 bins: a dense tally would take 800 MB
+    values = np.random.default_rng(5).uniform(0.0, 0.1, 1000)
+    tracemalloc.start()
+    try:
+        hist = inference.build_histogram(values, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert hist.n_bins == int(values.max() / 1e-9) + 1
+    assert hist.total == 1000
+    np.testing.assert_array_equal(hist.index, np.unique(np.floor(values / 1e-9)))
+
+
+def test_lumped_empty_runs_leave_deviance_and_gradient_unchanged(paper_params):
+    # 2000 intervals leave runs of empty bins inside the populated span
+    hist = helpers.multinomial_interval_hist(1e7, paper_params, 2000, seed=1)
+    edges, counts = inference._segments(hist)
+    assert np.count_nonzero(np.diff(hist.index) > 1) > 10
+    assert counts.size <= 2 * hist.index.size + 1 < hist.n_bins
+    params = np.array([1.1e7, paper_params.tau_d, 1.3e-7, 0.9])
+    free = np.ones(4, dtype=bool)
+    lumped = inference._half_deviance(edges, counts, params, hist.total, free)
+    fine = inference._half_deviance(hist.bin_edges, hist.counts.astype(float), params,
+                                    hist.total, free)
+    assert lumped[0] == pytest.approx(fine[0], rel=1e-12)
+    np.testing.assert_allclose(lumped[1], fine[1], rtol=1e-12)
 
 
 def test_histogram_csv_rejects_bad_header(tmp_path):
