@@ -254,32 +254,21 @@ def _segments(hist: IntervalHistogram):
     return hist.origin + hist.bin_width * bounds, counts
 
 
-def _bin_model(edges, params, total):
-    """Exact expected counts between consecutive edges, and H at the edges.
+def _er_bins(edges, params, total):
+    """Exact expected counts between consecutive edges, and d log mu / d log p.
 
     ``params`` holds (r_star, tau_d, tau_r, scale).  A bin [a, b) gets
     scale * total * S(a) * (1 - exp(-[H(b) - H(a)])), with H the integrated
     hazard of the on-time max(edge - tau_d, 0) and S = exp(-H); this form
-    has no tail cancellation.
+    has no tail cancellation.  The Jacobian has one row per parameter of
+    _PARAM_NAMES.
     """
     r_star, tau_d, tau_r, scale = params
-    hazard = er.er_cumulative_hazard(np.maximum(edges - tau_d, 0.0), r_star, tau_r)
-    mu = scale * total * np.exp(-hazard[:-1]) * -np.expm1(-np.diff(hazard))
-    return mu, hazard
-
-
-def expected_counts(hist: IntervalHistogram, r_star: float, tau_d: float, tau_r: float,
-                    scale: float = 1.0, *, populated: bool = False) -> np.ndarray:
-    """Exact expected count of every bin, or only of ``populated`` ones: the fit's model."""
-    edges, counts = _segments(hist) if populated else (hist.bin_edges, None)
-    mu, _ = _bin_model(edges, (r_star, tau_d, tau_r, scale), hist.total)
-    return mu[counts > 0] if populated else mu
-
-
-def _log_jacobian(edges, params, hazard):
-    """d log mu / d log p of every bin, one row per parameter of _PARAM_NAMES."""
-    r_star, tau_d, tau_r, _ = params
-    x = np.maximum(edges - tau_d, 0.0) / tau_r
+    on = np.maximum(edges - tau_d, 0.0)
+    hazard = er.er_cumulative_hazard(on, r_star, tau_r)
+    step = np.diff(hazard)
+    mu = scale * total * np.exp(-hazard[:-1]) * -np.expm1(-step)
+    x = on / tau_r
     recovered = -np.expm1(-x)
     # d H / d log p; every row vanishes at the dead-time edge
     d_hazard = np.stack([
@@ -288,24 +277,29 @@ def _log_jacobian(edges, params, hazard):
         -tau_r * r_star * (recovered - x * np.exp(-x)),
         np.zeros_like(x),
     ])
-    step = np.diff(hazard)
     with np.errstate(divide="ignore", invalid="ignore"):
         d_log_mu = np.where(step > 0, np.diff(d_hazard, axis=1) / np.expm1(step), 0.0)
     d_log_mu -= d_hazard[:, :-1]
     d_log_mu[3] = 1.0
-    return d_log_mu
+    return mu, d_log_mu
 
 
-def _half_deviance(edges, counts, params, total, free):
+def expected_counts(hist: IntervalHistogram, r_star: float, tau_d: float, tau_r: float,
+                    scale: float = 1.0, *, populated: bool = False) -> np.ndarray:
+    """Exact expected count of every bin, or only of ``populated`` ones: the fit's model."""
+    edges, counts = _segments(hist) if populated else (hist.bin_edges, None)
+    mu, _ = _er_bins(edges, (r_star, tau_d, tau_r, scale), hist.total)
+    return mu[counts > 0] if populated else mu
+
+
+def _half_deviance(counts, mu, d_log_mu):
     """Half the Poisson deviance, its gradient and the expected information.
 
-    Derivatives are with respect to the logs of the free parameters.  The
+    Derivatives are those of ``d_log_mu``, one row per parameter.  The
     deviance differs from the negative log-likelihood by a constant, and
     its terms are each of order one, so it carries far less rounding noise
     than the likelihood itself.
     """
-    mu, hazard = _bin_model(edges, params, total)
-    d_log_mu = _log_jacobian(edges, params, hazard)[free]
     terms = mu - counts
     grad = d_log_mu @ terms
     information = (mu * d_log_mu) @ d_log_mu.T
@@ -369,8 +363,13 @@ def fit_er_histogram(
     expected (Fisher) information at the solution.
 
     Raises :class:`FitError` when a populated bin has zero expected count
-    at the start (for example a dead-time held above it), or when scoring
-    does not converge within 500 steps.
+    at the start (for example a dead-time held above it), when scoring
+    does not converge within 500 steps, or when the solution leaves a
+    combination of the free parameters unresolved: the information scaled
+    to unit diagonal has an eigenvalue at most n * eps times its largest
+    (n free parameters, eps the float64 epsilon).  Its message names the
+    free parameters weighing at least 0.1 in that eigenvector: r_star and
+    tau_r when a few bins hold all the counts.
     """
     if hist.total < 1:
         raise DegenerateDataError("histogram is empty")
@@ -378,13 +377,12 @@ def fit_er_histogram(
         raise DegenerateDataError("all counts fall in a single bin; model is unidentifiable")
 
     theta = _default_init(hist)
-    for kind, values in (("init", init or {}), ("fixed", fixed if isinstance(fixed, dict) else {})):
-        unknown = set(values) - set(_PARAM_NAMES)
+    for kind, given in (("init", init or {}), ("fixed", fixed)):
+        unknown = set(given) - set(_PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown {kind} parameters: {sorted(unknown)}")
-        theta.update(values)
-    fixed_names = tuple(name for name in _PARAM_NAMES if name in set(fixed))
-    free = np.array([name not in fixed_names for name in _PARAM_NAMES])
+        theta.update(given if isinstance(given, dict) else {})
+    free = np.array([name not in fixed for name in _PARAM_NAMES])
     if not free.any():
         raise ValueError("at least one parameter must be free")
     for name in _PARAM_NAMES:
@@ -399,8 +397,12 @@ def fit_er_histogram(
         params[free] = np.exp(x)
         return params
 
+    def deviance(params):
+        mu, d_log_mu = _er_bins(edges, params, hist.total)
+        return _half_deviance(counts, mu, d_log_mu[free])
+
     def objective(x):
-        return _half_deviance(edges, counts, params_of(x), hist.total, free)
+        return deviance(params_of(x))
 
     def failure(message, x):
         return FitError(message, details={"params": dict(zip(_PARAM_NAMES, params_of(x).tolist()))})
@@ -408,10 +410,9 @@ def fit_er_histogram(
     # Coarse grid over tau_r: once tau_r is far longer than the data span
     # the hazard depends on r_star / tau_r alone and the information is
     # singular, so scoring must not start there.
-    if "tau_r" not in fixed_names:
+    if free[2]:
         factors = np.logspace(-1.5, 1.5, 13)
-        scan = [_half_deviance(edges, counts, start * [1.0, 1.0, f, 1.0], hist.total, free)[0]
-                for f in factors]
+        scan = [deviance(start * [1.0, 1.0, f, 1.0])[0] for f in factors]
         start[2] *= factors[int(np.argmin(scan))]
 
     x = np.log(start[free])
@@ -420,9 +421,17 @@ def fit_er_histogram(
         raise failure("a populated bin has zero expected count at the starting parameters", x)
     x, value, information, iterations = _fisher_scoring(objective, x, current, failure)
 
+    # An eigenvalue of the unit-diagonal information at rounding level marks
+    # a combination of parameters that the histogram does not resolve.
+    names = np.array(_PARAM_NAMES)
+    norm = np.sqrt(np.diag(information))
+    eigenvalues, eigenvectors = np.linalg.eigh(information / np.outer(norm, norm))
+    if eigenvalues[0] <= free.sum() * np.finfo(float).eps * eigenvalues[-1]:
+        unresolved = names[free][np.abs(eigenvectors[:, 0]) >= 0.1]
+        raise failure(f"the histogram does not resolve the combination of {', '.join(unresolved)}:"
+                      " the information is singular to working precision", x)
     best = params_of(x)
     sigmas = best[free] * np.sqrt(np.maximum(np.diag(np.linalg.inv(information)), 0.0))
-    free_names = [name for name, is_free in zip(_PARAM_NAMES, free) if is_free]
     span = int(hist.index[-1] - hist.index[0]) + 1
 
     eta0 = None
@@ -431,9 +440,9 @@ def fit_er_histogram(
 
     return FitResult(
         **dict(zip(_PARAM_NAMES, best.tolist())),
-        fixed=fixed_names,
-        uncertainties=dict(zip(free_names, sigmas.tolist())),
-        goodness=2.0 * value / max(span - len(free_names), 1),
+        fixed=tuple(names[~free].tolist()),
+        uncertainties=dict(zip(names[free].tolist(), sigmas.tolist())),
+        goodness=2.0 * value / max(span - int(free.sum()), 1),
         iterations=iterations,
         n_bins=hist.n_bins,
         eta0=eta0,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 from spadrate import er, inference, nhpp, simulate
-from spadrate.exceptions import DegenerateDataError, SaturationError
+from spadrate.exceptions import DegenerateDataError, FitError, SaturationError
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +113,32 @@ def test_lumped_empty_runs_leave_deviance_and_gradient_unchanged(paper_params):
     assert np.count_nonzero(np.diff(hist.index) > 1) > 10
     assert counts.size <= 2 * hist.index.size + 1 < hist.n_bins
     params = np.array([1.1e7, paper_params.tau_d, 1.3e-7, 0.9])
-    free = np.ones(4, dtype=bool)
-    lumped = inference._half_deviance(edges, counts, params, hist.total, free)
-    fine = inference._half_deviance(hist.bin_edges, hist.counts.astype(float), params,
-                                    hist.total, free)
+    lumped = inference._half_deviance(counts, *inference._er_bins(edges, params, hist.total))
+    fine = inference._half_deviance(hist.counts.astype(float),
+                                    *inference._er_bins(hist.bin_edges, params, hist.total))
     assert lumped[0] == pytest.approx(fine[0], rel=1e-12)
     np.testing.assert_allclose(lumped[1], fine[1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("bin_width", [1e-9, 20e-9], ids=["1ns", "20ns"])
+@pytest.mark.parametrize("rt", [0.01, 1.0, 100.0])
+def test_er_bins_log_jacobian_matches_finite_differences(paper_params, rt, bin_width):
+    r_star, tau_d, tau_r = rt / paper_params.tau_r, paper_params.tau_d, paper_params.tau_r
+    # the first bin straddles tau_d with no edge on it; later bins widen out to H = 30
+    span = helpers.hazard_time(r_star, tau_r, 30.0) / bin_width
+    steps = np.unique(np.geomspace(1.0, max(span, 2.0), 40).astype(int))
+    edges = tau_d + bin_width * (np.concatenate(([0], steps)) - 0.3)
+    params = np.array([r_star, tau_d, tau_r, 0.7])
+    mu, d_log_mu = inference._er_bins(edges, params, 1000)
+    assert np.all(mu > 0)
+    # log steps of 1e-6, except that tau_d moves by 1e-4 of a bin
+    for row, h in enumerate([1e-6, 1e-4 * bin_width / tau_d, 1e-6, 1e-6]):
+        up, down = params.copy(), params.copy()
+        up[row] *= np.exp(h)
+        down[row] *= np.exp(-h)
+        numeric = (np.log(inference._er_bins(edges, up, 1000)[0])
+                   - np.log(inference._er_bins(edges, down, 1000)[0])) / (2 * h)
+        np.testing.assert_allclose(d_log_mu[row], numeric, rtol=1e-5, atol=1e-6, err_msg=str(row))
 
 
 def test_histogram_csv_rejects_bad_header(tmp_path):
@@ -276,6 +296,29 @@ def test_fit_result_without_calibration_has_no_eta0(paper_params):
     assert res.eta0 is None
     with pytest.raises(ValueError):
         res.er_params()
+
+
+@pytest.mark.parametrize("fixed", [("tau_x",), ["tau_d", "tau_x"]], ids=["tuple", "list"])
+def test_fit_rejects_unknown_fixed_names_in_sequence_form(paper_params, fixed):
+    # the mapping form is checked through the CLI's --fix
+    hist = helpers.multinomial_interval_hist(1e7, paper_params, 10_000, seed=307)
+    with pytest.raises(ValueError, match=r"unknown fixed parameters: \['tau_x'\]"):
+        inference.fit_er_histogram(hist, fixed=fixed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_fit_that_cannot_separate_r_star_from_tau_r_is_fit_error(paper_params, seed):
+    # r_star*tau_r = 1e4: the ~1.6 ns on-time fills about 6 bins of 1 ns, which
+    # fix r_star / tau_r but not the two apart
+    config = simulate.SimConfig(
+        er=paper_params,
+        source=er.SourceParams(photon_rate=1e4 / paper_params.tau_r / paper_params.eta0),
+        n_events=20_000,
+        seed=seed,
+    )
+    hist = inference.build_histogram(simulate.intervals(simulate.simulate(config)), 1e-9)
+    with pytest.raises(FitError, match="does not resolve the combination of r_star, tau_r:"):
+        inference.fit_er_histogram(hist)
 
 
 # ---------------------------------------------------------------------------
