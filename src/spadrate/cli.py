@@ -34,33 +34,43 @@ def _out_path(name: str | None, default: str) -> Path:
     return Path(name) if name else base / default
 
 
-def _write_manifest(primary: Path, command: str, config: dict, inputs: list[str],
-                    outputs: list[str], seed: int | None = None, **extra) -> Path:
-    manifest = {
-        "command": command,
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_manifest(primary: Path, inputs: list[str], outputs: list[str], **extra) -> None:
+    """Write and echo the running command's ``<primary stem>.manifest.json``.
+
+    Its config is every parameter but the output paths, in declaration
+    order, so the bytes do not depend on the order of the flags.
+    """
+    ctx = click.get_current_context()
+    config = {param.name: ctx.params[param.name] for param in ctx.command.params
+              if param.name in ctx.params and param.name not in ("out", "curve")}
+    path = primary.with_suffix(".manifest.json")
+    _write_json(path, {
+        "command": ctx.info_name,
         "config": config,
         "inputs": inputs,
         "outputs": outputs,
-        "seed": seed,
+        "seed": config.get("seed"),
         "version": __version__,
         **extra,
-    }
-    path = primary.with_suffix(".manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return path
+    })
+    click.echo(f"manifest: {path}")
 
 
-def _load_config(ctx: click.Context, config_path: str | None, values: dict) -> dict:
-    """Overlay JSON config onto defaulted parameters (explicit flags win).
+def _config_defaults(ctx: click.Context, param: click.Parameter, config_path: str | None) -> None:
+    """Make a JSON config, or a manifest's "config", the defaults of the other flags.
 
-    Accepts either a bare config object or a manifest with a "config" key,
-    so a previous run's manifest reproduces it directly.  Values go through
-    their option's click type; null is allowed only where the default is None.
+    Explicit flags win.  Values go in as strings so that each passes through
+    its option's type (click's INT would truncate the float 1.5 to 1); null
+    is allowed only where the default is None.
     """
     if not config_path:
-        return values
+        return
     try:
         with open(config_path) as fh:
             data = json.load(fh)
@@ -68,19 +78,14 @@ def _load_config(ctx: click.Context, config_path: str | None, values: dict) -> d
         raise click.UsageError(f"cannot read config {config_path}: {exc}")
     if isinstance(data, dict) and "config" in data and isinstance(data["config"], dict):
         data = data["config"]
-    unknown = set(data) - set(values)
+    options = {option.name: option for option in ctx.command.params if option.expose_value}
+    unknown = set(data) - set(options)
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-    options = {param.name: param for param in ctx.command.params}
     for key, val in data.items():
-        if ctx.get_parameter_source(key) not in (click.core.ParameterSource.DEFAULT, None):
-            continue
-        option = options[key]
-        if val is None and option.default is not None:
-            raise click.BadParameter("may not be null", ctx=ctx, param=option)
-        # via str: click's INT would silently truncate the float 1.5 to 1
-        values[key] = None if val is None else option.type_cast_value(ctx, str(val))
-    return values
+        if val is None and options[key].default is not None:
+            raise click.BadParameter("may not be null", ctx=ctx, param=options[key])
+    ctx.default_map = {key: str(val) for key, val in data.items() if val is not None}
 
 
 def _handle_errors(f):
@@ -164,32 +169,30 @@ def cli():
               show_default=True, help="Timestamp file format.")
 @click.option("--out", "out", type=click.Path(), default=None,
               help="Output path [default: timestamps.<fmt> in $SPADRATE_OUTDIR or cwd].")
-@click.option("--config", "config_path", type=click.Path(), default=None,
+@click.option("--config", type=click.Path(), default=None, is_eager=True, expose_value=False,
+              callback=_config_defaults,
               help="JSON config (or manifest) supplying defaults for any flag.")
-@click.pass_context
 @_handle_errors
-def cmd_simulate(ctx, **kw):
+def cmd_simulate(**kw):
     """Generate a seeded Monte Carlo timestamp stream."""
-    kw = _load_config(ctx, kw.pop("config_path"), kw)
     if kw["ri"] is None:
         raise click.UsageError("--ri is required (directly or via --config)")
     if (kw["events"] is None) == (kw["duration"] is None):
         raise click.UsageError("specify exactly one of --events or --duration")
-    if kw["events"] is not None and not 1 <= kw["events"] <= inference.MAX_ARRAY_LENGTH:
+    events = kw["events"]
+    if events is not None and not (events.is_integer() and 1 <= events <= inference.MAX_ARRAY_LENGTH):
         raise click.UsageError(f"--events must be a count from 1 to {inference.MAX_ARRAY_LENGTH}, "
                                "the most float64 values one array can hold")
 
     params = _validated(er.ErParams, eta0=kw["eta0"], tau_d=kw["tau_d"], tau_r=kw["tau_r"])
     source = _validated(er.SourceParams, photon_rate=kw["ri"], dark_apriori=kw["dark"])
-    par = None
-    if kw["tau_p1"] != 0 or kw["tau_p2"] != 0:
-        par = _validated(paralyzing.ParalyzingParams, tau_p1=kw["tau_p1"], tau_p2=kw["tau_p2"])
+    par = _validated(paralyzing.ParalyzingParams, tau_p1=kw["tau_p1"], tau_p2=kw["tau_p2"])
     config = _validated(
         simulate.SimConfig,
         er=params,
         source=source,
         paralyzing=par,
-        n_events=int(kw["events"]) if kw["events"] is not None else None,
+        n_events=int(events) if events is not None else None,
         duration=kw["duration"],
         seed=kw["seed"],
     )
@@ -200,12 +203,8 @@ def cmd_simulate(ctx, **kw):
         simulate.write_timestamps_csv(out, series)
     else:
         simulate.write_timestamps_binary(out, series)
-    flat = {k: kw[k] for k in ("eta0", "tau_d", "tau_r", "ri", "dark", "tau_p1",
-                               "tau_p2", "events", "duration", "seed", "fmt")}
-    manifest = _write_manifest(out, "simulate", flat, [], [str(out)], seed=kw["seed"],
-                               sampler=series.metadata["sampler"])
     click.echo(f"wrote {series.times.size} timestamps to {out}")
-    click.echo(f"manifest: {manifest}")
+    _write_manifest(out, [], [str(out)], sampler=series.metadata["sampler"])
 
 
 @cli.command(name="hist")
@@ -216,9 +215,8 @@ def cmd_simulate(ctx, **kw):
               help="Keep intervals in [LO, HI); outside goes to the overflow tally.")
 @click.option("--out", type=click.Path(), default=None,
               help="Output CSV path [default: histogram.csv].")
-@click.pass_context
 @_handle_errors
-def cmd_hist(ctx, timestamps, bin_width, bounds, out):
+def cmd_hist(timestamps, bin_width, bounds, out):
     """Bin inter-detection intervals from a timestamp file."""
     if str(timestamps).endswith(".bin"):
         times = simulate.read_timestamps_binary(timestamps)
@@ -240,12 +238,9 @@ def cmd_hist(ctx, timestamps, bin_width, bounds, out):
     )
     out = _out_path(out, "histogram.csv")
     hist.to_csv(out)
-    config = {"timestamps": str(timestamps), "bin_width": bin_width,
-              "range": list(bounds) if bounds else None}
-    manifest = _write_manifest(Path(out), "hist", config, [str(timestamps)], [str(out)])
     click.echo(f"wrote {hist.n_bins} bins ({hist.total} intervals, "
                f"{hist.overflow} overflow) to {out}")
-    click.echo(f"manifest: {manifest}")
+    _write_manifest(out, [str(timestamps)], [str(out)])
 
 
 def _parse_assignments(pairs, what: str) -> dict[str, float]:
@@ -278,9 +273,8 @@ def _parse_assignments(pairs, what: str) -> dict[str, float]:
               help="Fit result JSON [default: fit.json].")
 @click.option("--curve", type=click.Path(), default=None,
               help="Model-curve CSV for plotting [default: <out stem>_curve.csv].")
-@click.pass_context
 @_handle_errors
-def cmd_fit(ctx, histogram, fix, init, ri, dark, out, curve):
+def cmd_fit(histogram, fix, init, ri, dark, out, curve):
     """Fit the recovery model to an interval histogram."""
     hist = inference.IntervalHistogram.from_csv(histogram)
     result = _validated(
@@ -292,9 +286,7 @@ def cmd_fit(ctx, histogram, fix, init, ri, dark, out, curve):
         dark_apriori=dark,
     )
     out = _out_path(out, "fit.json")
-    with open(out, "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(out, result.to_dict())
 
     curve_path = Path(curve) if curve else Path(out).with_name(Path(out).stem + "_curve.csv")
     expected = inference.expected_counts(hist, result.r_star, result.tau_d, result.tau_r,
@@ -303,10 +295,6 @@ def cmd_fit(ctx, histogram, fix, init, ri, dark, out, curve):
     inference.write_table(curve_path, "bin_center_s,count,expected_count",
                           "{:.17g},{},{:.10g}", centers, hist.tally, expected)
 
-    config = {"histogram": str(histogram), "fix": list(fix), "init": list(init),
-              "ri": ri, "dark": dark}
-    manifest = _write_manifest(Path(out), "fit", config, [str(histogram)],
-                               [str(out), str(curve_path)])
     click.echo(f"r_star = {result.r_star:.6e} /s")
     click.echo(f"tau_d  = {result.tau_d:.6e} s")
     click.echo(f"tau_r  = {result.tau_r:.6e} s")
@@ -315,7 +303,7 @@ def cmd_fit(ctx, histogram, fix, init, ri, dark, out, curve):
         click.echo(f"eta0   = {result.eta0:.6f}")
     click.echo(f"goodness/dof = {result.goodness:.4f}, iterations = {result.iterations}")
     click.echo(f"wrote {out} and {curve_path}")
-    click.echo(f"manifest: {manifest}")
+    _write_manifest(out, [str(histogram)], [str(out), str(curve_path)])
 
 
 @cli.command(name="infer")
@@ -327,9 +315,8 @@ def cmd_fit(ctx, histogram, fix, init, ri, dark, out, curve):
               help="A priori dark-count rate [1/s] to subtract.")
 @click.option("--out", type=click.Path(), default=None,
               help="Report JSON [default: infer.json].")
-@click.pass_context
 @_handle_errors
-def cmd_infer(ctx, eta0, tau_d, tau_r, rate, model, dark, out):
+def cmd_infer(eta0, tau_d, tau_r, rate, model, dark, out):
     """Infer the a priori detection rate from a measured rate."""
     params = _validated(er.ErParams, eta0=eta0, tau_d=tau_d, tau_r=tau_r)
     result = inference.infer_apriori_rate(rate, params, dark_apriori=dark, model=model)
@@ -342,12 +329,7 @@ def cmd_infer(ctx, eta0, tau_d, tau_r, rate, model, dark, out):
         "photon_apriori_hz": result.photon_apriori,
         "clipped": result.clipped,
     }
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    config = {"eta0": eta0, "tau_d": tau_d, "tau_r": tau_r, "rate": rate,
-              "model": model, "dark": dark}
-    manifest = _write_manifest(Path(out), "infer", config, [], [str(out)])
+    _write_json(out, report)
     click.echo(f"measured rate      : {result.measured:.6e} /s")
     click.echo(f"model              : {result.model}")
     click.echo(f"a priori (total)   : {result.total_apriori:.6e} /s")
@@ -355,7 +337,7 @@ def cmd_infer(ctx, eta0, tau_d, tau_r, rate, model, dark, out):
     if result.clipped:
         click.echo("warning: photon rate clipped at zero (dark counts exceed inferred total)")
     click.echo(f"wrote {out}")
-    click.echo(f"manifest: {manifest}")
+    _write_manifest(out, [], [str(out)])
 
 
 @cli.command(name="tabulate")
@@ -374,9 +356,8 @@ def cmd_infer(ctx, eta0, tau_d, tau_r, rate, model, dark, out):
               help="Dead-time extension per paralyzation event [s].")
 @click.option("--out", type=click.Path(), default=None,
               help="Sweep CSV [default: sweep.csv].")
-@click.pass_context
 @_handle_errors
-def cmd_tabulate(ctx, eta0, tau_d, tau_r, sweep_from, sweep_to, points, model,
+def cmd_tabulate(eta0, tau_d, tau_r, sweep_from, sweep_to, points, model,
                  tau_p1, tau_p2, out):
     """Tabulate (a priori rate, mean on-time, measured rate) curves."""
     if sweep_to < sweep_from:
@@ -399,12 +380,8 @@ def cmd_tabulate(ctx, eta0, tau_d, tau_r, sweep_from, sweep_to, points, model,
     out = _out_path(out, "sweep.csv")
     inference.write_table(out, "r_star_hz,mean_on_time_s,rate_hz", "{:.10g},{:.12g},{:.12g}",
                           grid, means, measured)
-    config = {"eta0": eta0, "tau_d": tau_d, "tau_r": tau_r, "from": sweep_from,
-              "to": sweep_to, "points": points, "model": model,
-              "tau_p1": tau_p1, "tau_p2": tau_p2}
-    manifest = _write_manifest(Path(out), "tabulate", config, [], [str(out)])
     click.echo(f"wrote {len(grid)} rows to {out}")
-    click.echo(f"manifest: {manifest}")
+    _write_manifest(out, [], [str(out)])
 
 
 def main():

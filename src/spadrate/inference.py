@@ -360,7 +360,10 @@ def fit_er_histogram(
     empty bins as one lump, which leaves the likelihood unchanged; the
     goodness keeps the degrees of freedom of every bin from the first to
     the last populated one.  Uncertainties come from the inverse of the
-    expected (Fisher) information at the solution.
+    expected (Fisher) information at the solution.  Given a calibrated
+    ``photon_rate`` in (0, inf) and ``dark_apriori`` in [0, inf), the
+    result carries eta0 = (r_star - dark_apriori) / photon_rate; other
+    values of either raise ValueError.
 
     Raises :class:`FitError` when a populated bin has zero expected count
     at the start (for example a dead-time held above it), when scoring
@@ -371,6 +374,10 @@ def fit_er_histogram(
     free parameters weighing at least 0.1 in that eigenvector: r_star and
     tau_r when a few bins hold all the counts.
     """
+    if not (photon_rate is None or 0 < photon_rate < np.inf):
+        raise ValueError(f"photon rate must be finite and positive, got {photon_rate}")
+    if not 0 <= dark_apriori < np.inf:
+        raise ValueError(f"dark rate must be finite and non-negative, got {dark_apriori}")
     if hist.total < 1:
         raise DegenerateDataError("histogram is empty")
     if hist.index.size < 2:
@@ -434,9 +441,7 @@ def fit_er_histogram(
     sigmas = best[free] * np.sqrt(np.maximum(np.diag(np.linalg.inv(information)), 0.0))
     span = int(hist.index[-1] - hist.index[0]) + 1
 
-    eta0 = None
-    if photon_rate is not None and photon_rate > 0:
-        eta0 = (float(best[0]) - dark_apriori) / photon_rate
+    eta0 = None if photon_rate is None else (float(best[0]) - dark_apriori) / photon_rate
 
     return FitResult(
         **dict(zip(_PARAM_NAMES, best.tolist())),

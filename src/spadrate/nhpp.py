@@ -196,10 +196,10 @@ def rate_forward(mean_on: float, tau_d: float) -> float:
 
 def simple_rate_inverse(r: float, tau_d: float) -> float:
     """A priori rate for the instantaneous-recovery model: 1 / (1/r - tau_d)."""
-    if r <= 0:
-        raise ValueError(f"measured rate must be positive, got {r}")
-    if tau_d < 0:
-        raise ValueError(f"dead-time must be non-negative, got {tau_d}")
+    if not 0 < r < np.inf:
+        raise ValueError(f"measured rate must be finite and positive, got {r}")
+    if not 0 <= tau_d < np.inf:
+        raise ValueError(f"dead-time must be finite and non-negative, got {tau_d}")
     if tau_d > 0 and r >= 1.0 / tau_d:
         raise SaturationError(
             f"measured rate {r:.6g} /s is at or above the dead-time "

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -78,10 +78,6 @@ class SimConfig:
 
     def apriori_rate(self) -> float:
         return self.source.apriori_rate(self.er)
-
-    def to_dict(self) -> dict[str, Any]:
-        out = asdict(self)
-        return out
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,6 @@ def simulate(config: SimConfig) -> TimestampSeries:
         "generator": _RNG_NAME,
         "seed": config.seed,
         "sampler": _SAMPLER,
-        "config": config.to_dict(),
     }
 
     if config.n_events is not None:

@@ -350,6 +350,13 @@ def test_simulate_csv_golden_bytes(runner, tmp_path, extra, digest):
     assert hashlib.sha256(ts.read_bytes()).hexdigest() == digest
 
 
+def test_simulate_fractional_event_count_is_usage_error(runner, tmp_path):
+    result = runner.invoke(cli, _simulate_args(tmp_path / "x.csv", events="2.7"))
+    assert result.exit_code == 2, result.output
+    assert "--events" in result.output
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_out_of_memory_is_data_error(runner, tmp_path, monkeypatch):
     def exhausted(config):
         raise MemoryError("Unable to allocate 6.94 EiB for an array")
@@ -496,6 +503,62 @@ def test_config_values_go_through_option_types(runner, tmp_path, override, exit_
     if exit_code == 0:
         expected = int(float(override.get("events", 200)))
         assert np.loadtxt(out).size == expected
+
+
+@pytest.mark.parametrize("flag_first", [False, True])
+def test_explicit_flag_beats_config_value(runner, tmp_path, flag_first):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ri": 5.23e8, "events": 200, "seed": 3}))
+    overlay, plain, seed3 = tmp_path / "overlay.csv", tmp_path / "plain.csv", tmp_path / "seed3.csv"
+    flags = [["--seed", "4"], ["--config", str(cfg)]]
+    args = [token for flag in (flags if flag_first else flags[::-1]) for token in flag]
+    result = runner.invoke(cli, ["simulate", *args, "--out", str(overlay)])
+    assert result.exit_code == 0, result.output
+    for seed, out in (("4", plain), ("3", seed3)):
+        result = runner.invoke(cli, ["simulate", "--ri", "5.23e8", "--events", "200",
+                                     "--seed", seed, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+    assert overlay.read_bytes() == plain.read_bytes() != seed3.read_bytes()
+    assert json.loads((tmp_path / "overlay.manifest.json").read_text())["seed"] == 4
+
+
+def test_manifest_config_lists_parameters_in_declaration_order(runner, tmp_path):
+    ts, hist, fit = tmp_path / "ts.csv", tmp_path / "h.csv", tmp_path / "fit.json"
+    # each command: its flags (one group each) and the config keys its manifest must list
+    commands = [
+        ("simulate", ts, [["--events", "20000"], ["--ri", "5.23e8"], ["--seed", "7"],
+                          ["--tau-p2", "27e-9"], ["--eta0", "0.19117"], ["--out", str(ts)]],
+         ["eta0", "tau_d", "tau_r", "ri", "dark", "tau_p1", "tau_p2", "events", "duration",
+          "seed", "fmt"]),
+        ("hist", hist, [["--range", "80e-6", "84e-6"], [str(ts)], ["--bin-width", "1e-9"],
+                        ["--out", str(hist)]],
+         ["timestamps", "bin_width", "bounds"]),
+        ("fit", fit, [["--ri", "5.23e8"], ["--fix", "tau_d=80.09205e-6"], [str(hist)],
+                      ["--init", "tau_r=1e-7"], ["--dark", "100"], ["--out", str(fit)]],
+         ["histogram", "fix", "init", "ri", "dark"]),
+        ("infer", tmp_path / "infer.json", [["--rate", "12.4e3"], ["--dark", "858"],
+                                            ["--model", "low"], ["--tau-r", "1e-7"],
+                                            ["--out", str(tmp_path / "infer.json")]],
+         ["eta0", "tau_d", "tau_r", "rate", "model", "dark"]),
+        ("tabulate", tmp_path / "sweep.csv", [["--to", "1e9"], ["--points", "3"],
+                                              ["--from", "1e6"], ["--tau-p1", "15e-9"],
+                                              ["--out", str(tmp_path / "sweep.csv")]],
+         ["eta0", "tau_d", "tau_r", "sweep_from", "sweep_to", "points", "model", "tau_p1",
+          "tau_p2"]),
+    ]
+    for command, primary, flags, keys in commands:
+        manifest = primary.with_suffix(".manifest.json")
+        written = []
+        for order in (flags, flags[::-1]):
+            result = runner.invoke(cli, [command, *[token for flag in order for token in flag]])
+            assert result.exit_code == 0, (command, result.output)
+            written.append(manifest.read_bytes())
+        assert written[0] == written[1], command
+        record = json.loads(written[0])
+        assert record["command"] == command
+        assert list(record["config"]) == keys, command
+        assert record["seed"] == (7 if command == "simulate" else None)
+    assert json.loads(written[0])["config"]["sweep_from"] == 1e6
 
 
 def test_infer_simple_vs_er_gap(runner, tmp_path):

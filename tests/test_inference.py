@@ -290,6 +290,18 @@ def test_fit_recovers_eta0_with_calibrated_rate(paper_params):
     assert res.er_params().tau_r == res.tau_r
 
 
+@pytest.mark.parametrize("calibration", [
+    {"photon_rate": -5e8}, {"photon_rate": np.nan}, {"photon_rate": np.inf}, {"photon_rate": 0.0},
+    {"photon_rate": 5e8, "dark_apriori": np.nan}, {"photon_rate": 5e8, "dark_apriori": -1e9},
+    {"dark_apriori": np.inf},
+], ids=str)
+def test_fit_rejects_impossible_calibration(paper_params, calibration):
+    hist = helpers.multinomial_interval_hist(1e8, paper_params, 20000, seed=1)
+    with pytest.raises(ValueError, match="must be finite"):
+        inference.fit_er_histogram(hist, fixed={"tau_d": paper_params.tau_d, "scale": 1.0},
+                                   **calibration)
+
+
 def test_fit_result_without_calibration_has_no_eta0(paper_params):
     hist = helpers.multinomial_interval_hist(1e7, paper_params, 100_000, seed=306)
     res = inference.fit_er_histogram(hist, fixed={"tau_d": paper_params.tau_d})
@@ -377,6 +389,19 @@ def test_infer_model_aliases(paper_params):
 def test_infer_saturation(paper_params):
     with pytest.raises(SaturationError):
         inference.infer_apriori_rate(1.0 / paper_params.tau_d, paper_params, model="er")
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf])
+@pytest.mark.parametrize("model", ["simple", "er", "low", "high"])
+def test_infer_rejects_non_finite_rate(paper_params, model, rate):
+    with pytest.raises(ValueError, match="must be finite"):
+        inference.infer_apriori_rate(rate, paper_params, model=model)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf])
+def test_dark_rate_rejects_non_finite_measurement(rate):
+    with pytest.raises(ValueError, match="must be finite"):
+        inference.dark_count_rate_from_measurement(rate, 80e-6)
 
 
 def test_dark_rate_round_trip():

@@ -139,6 +139,17 @@ def test_simple_rate_inverse_saturation():
         nhpp.simple_rate_inverse(1.0 / tau_d, tau_d)
 
 
+@pytest.mark.parametrize("r, tau_d", [
+    (np.nan, 80e-6), (np.inf, 0.0), (np.inf, 80e-6), (0.0, 80e-6), (-1e3, 80e-6),
+    (1e3, np.nan), (1e3, np.inf), (1e3, -1e-9),
+])
+def test_simple_rate_inverse_rejects_non_finite_or_out_of_domain(r, tau_d):
+    # an infinite rate is no measurement, not a saturated one
+    with pytest.raises(ValueError, match="must be finite") as info:
+        nhpp.simple_rate_inverse(r, tau_d)
+    assert not isinstance(info.value, SaturationError)
+
+
 def test_invert_rate_matches_closed_form():
     tau_d = 80.092e-6
     forward = lambda x: 1.0 / (1.0 / x + tau_d)
