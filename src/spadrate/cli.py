@@ -7,8 +7,9 @@ exact configuration, and a simulation can be reproduced bit-for-bit by
 passing the manifest back via --config (under the same sampler, which the
 simulate manifest records).
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numeric, data
-or fit failure (also running out of memory), 4 I/O failure.
+Exit codes follow the exception type: 0 success, 2 usage or configuration
+error (any ValueError not listed for 3), 3 a malformed input file, a numeric
+or fit failure, or running out of memory, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from . import __version__, er, inference, nhpp, paralyzing, simulate
 from .exceptions import DegenerateDataError, FitError, IntegrationError, SaturationError
 
 _OUTDIR_ENV = "SPADRATE_OUTDIR"
-_MODELS = ("simple", "er", "low", "high")
 
 
 def _out_path(name: str | None, default: str) -> Path:
@@ -76,7 +76,9 @@ def _config_defaults(ctx: click.Context, param: click.Parameter, config_path: st
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read config {config_path}: {exc}")
-    if isinstance(data, dict) and "config" in data and isinstance(data["config"], dict):
+    if not isinstance(data, dict):
+        raise click.UsageError(f"config {config_path} must hold a JSON object")
+    if "config" in data and isinstance(data["config"], dict):
         data = data["config"]
     options = {option.name: option for option in ctx.command.params if option.expose_value}
     unknown = set(data) - set(options)
@@ -89,13 +91,16 @@ def _config_defaults(ctx: click.Context, param: click.Parameter, config_path: st
 
 
 def _handle_errors(f):
+    """Give each exception type its exit code; any other ValueError is a usage error."""
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except (SaturationError, FitError, IntegrationError, DegenerateDataError, ValueError) as exc:
+        except (SaturationError, FitError, IntegrationError, DegenerateDataError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         except MemoryError as exc:
             click.echo(f"error: out of memory: {exc}", err=True)
             sys.exit(3)
@@ -104,16 +109,6 @@ def _handle_errors(f):
             sys.exit(4)
 
     return wrapper
-
-
-def _validated(builder, *args, **kwargs):
-    """Invalid arguments are configuration errors (exit 2); degenerate data stays exit 3."""
-    try:
-        return builder(*args, **kwargs)
-    except DegenerateDataError:
-        raise
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
 
 class _FiniteFloat(click.FloatRange):
@@ -184,19 +179,15 @@ def cmd_simulate(**kw):
         raise click.UsageError(f"--events must be a count from 1 to {inference.MAX_ARRAY_LENGTH}, "
                                "the most float64 values one array can hold")
 
-    params = _validated(er.ErParams, eta0=kw["eta0"], tau_d=kw["tau_d"], tau_r=kw["tau_r"])
-    source = _validated(er.SourceParams, photon_rate=kw["ri"], dark_apriori=kw["dark"])
-    par = _validated(paralyzing.ParalyzingParams, tau_p1=kw["tau_p1"], tau_p2=kw["tau_p2"])
-    config = _validated(
-        simulate.SimConfig,
-        er=params,
-        source=source,
-        paralyzing=par,
+    config = simulate.SimConfig(
+        er=er.ErParams(eta0=kw["eta0"], tau_d=kw["tau_d"], tau_r=kw["tau_r"]),
+        source=er.SourceParams(photon_rate=kw["ri"], dark_apriori=kw["dark"]),
+        paralyzing=paralyzing.ParalyzingParams(tau_p1=kw["tau_p1"], tau_p2=kw["tau_p2"]),
         n_events=int(events) if events is not None else None,
         duration=kw["duration"],
         seed=kw["seed"],
     )
-    series = _validated(simulate.simulate, config)
+    series = simulate.simulate(config)
 
     out = _out_path(kw["out"], f"timestamps.{kw['fmt']}")
     if kw["fmt"] == "csv":
@@ -233,9 +224,7 @@ def cmd_hist(timestamps, bin_width, bounds, out):
     if bad.size:
         what = "decrease" if gaps[bad[0]] < 0 else "lie too far apart for a float interval"
         raise DegenerateDataError(f"{timestamps}: timestamps {what} at row {bad[0] + 2}")
-    hist = _validated(
-        inference.build_histogram, gaps, bin_width, bounds=tuple(bounds) if bounds else None,
-    )
+    hist = inference.build_histogram(gaps, bin_width, bounds=tuple(bounds) if bounds else None)
     out = _out_path(out, "histogram.csv")
     hist.to_csv(out)
     click.echo(f"wrote {hist.n_bins} bins ({hist.total} intervals, "
@@ -277,8 +266,7 @@ def _parse_assignments(pairs, what: str) -> dict[str, float]:
 def cmd_fit(histogram, fix, init, ri, dark, out, curve):
     """Fit the recovery model to an interval histogram."""
     hist = inference.IntervalHistogram.from_csv(histogram)
-    result = _validated(
-        inference.fit_er_histogram,
+    result = inference.fit_er_histogram(
         hist,
         init=_parse_assignments(init, "init") or None,
         fixed=_parse_assignments(fix, "fix"),
@@ -309,7 +297,7 @@ def cmd_fit(histogram, fix, init, ri, dark, out, curve):
 @cli.command(name="infer")
 @_detector_options
 @click.option("--rate", type=_POSITIVE, required=True, help="Measured detection rate [1/s].")
-@click.option("--model", type=click.Choice(_MODELS),
+@click.option("--model", type=click.Choice(tuple(inference._RATE_MODELS)),
               default="er", show_default=True, help="Rate equation to invert.")
 @click.option("--dark", type=_NON_NEGATIVE, default=0.0, show_default=True,
               help="A priori dark-count rate [1/s] to subtract.")
@@ -318,7 +306,7 @@ def cmd_fit(histogram, fix, init, ri, dark, out, curve):
 @_handle_errors
 def cmd_infer(eta0, tau_d, tau_r, rate, model, dark, out):
     """Infer the a priori detection rate from a measured rate."""
-    params = _validated(er.ErParams, eta0=eta0, tau_d=tau_d, tau_r=tau_r)
+    params = er.ErParams(eta0=eta0, tau_d=tau_d, tau_r=tau_r)
     result = inference.infer_apriori_rate(rate, params, dark_apriori=dark, model=model)
     out = _out_path(out, "infer.json")
     report = {
@@ -348,7 +336,7 @@ def cmd_infer(eta0, tau_d, tau_r, rate, model, dark, out):
               help="Sweep end: a priori rate [1/s].")
 @click.option("--points", type=int, default=25, show_default=True,
               help="Number of log-spaced sweep points.")
-@click.option("--model", type=click.Choice(_MODELS),
+@click.option("--model", type=click.Choice(tuple(inference._RATE_MODELS)),
               default="er", show_default=True, help="Mean-on-time model.")
 @click.option("--tau-p1", type=float, default=0.0, show_default=True,
               help="Paralyzable-time window [s]; >0 adds paralyzing prolongation (er model only).")
@@ -366,8 +354,8 @@ def cmd_tabulate(eta0, tau_d, tau_r, sweep_from, sweep_to, points, model,
         raise click.UsageError("--points must be at least 1")
     if (tau_p1 > 0 or tau_p2 > 0) and model != "er":
         raise click.UsageError("paralyzing prolongation applies to the er model only")
-    params = _validated(er.ErParams, eta0=eta0, tau_d=tau_d, tau_r=tau_r)
-    par = _validated(paralyzing.ParalyzingParams, tau_p1=tau_p1, tau_p2=tau_p2)
+    er.ErParams(eta0=eta0, tau_d=tau_d, tau_r=tau_r)  # checks the detector flags
+    par = paralyzing.ParalyzingParams(tau_p1=tau_p1, tau_p2=tau_p2)
     if points == 1:
         grid = np.array([sweep_from])
     else:

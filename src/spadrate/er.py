@@ -184,6 +184,18 @@ def er_interval_cdf(delta, params: ErParams, source: SourceParams):
     return out if out.ndim else float(out)
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _rate_product(r_star: float, tau_r: float) -> float:
+    """a = r_star * tau_r; ValueError unless a is a normal double, as the closed forms need."""
+    a = r_star * tau_r
+    if not _TINY <= a < np.inf:
+        raise ValueError(f"r_star*tau_r = {r_star:g}*{tau_r:g} = {a:g} lies outside the "
+                         f"normal float range [{_TINY:g}, inf)")
+    return a
+
+
 def er_mean_on_time(r_star: float, tau_r: float) -> float:
     """Mean detector-on time, in closed form.
 
@@ -193,10 +205,12 @@ def er_mean_on_time(r_star: float, tau_r: float) -> float:
         <t> = tau_r * e^a a^-a Gamma(a) * P(a, a) ,
 
     where P is the regularized lower incomplete gamma function (DLMF 8.2).
+    Raises ValueError unless a is a normal double: below, the prefactor
+    ~1/a overflows; at inf the form is NaN.
     """
     if not (0 < r_star < np.inf and 0 < tau_r < np.inf):
         raise ValueError(f"r_star and tau_r must be finite and positive, got {r_star}, {tau_r}")
-    a = r_star * tau_r
+    a = _rate_product(r_star, tau_r)
     if a < 20.0:
         prefactor = np.exp(a - a * np.log(a) + special.gammaln(a))
     else:

@@ -18,4 +18,4 @@ class FitError(RuntimeError):
 
 
 class DegenerateDataError(ValueError):
-    """Input data cannot constrain the requested parameters."""
+    """An input file is malformed (the message names it), or data cannot constrain the fit."""

@@ -108,15 +108,15 @@ class IntervalHistogram:
     def from_csv(cls, path) -> "IntervalHistogram":
         """Read a ``to_csv`` file, or a dense v1 file of ``bin_left_s,count`` rows.
 
-        A malformed file raises ValueError naming the path.
+        A malformed file raises :class:`DegenerateDataError` naming the path.
         """
         with open(path) as fh:
-            first = fh.readline().strip()
-            v1 = [h.strip() for h in first.split(",")[:2]] == ["bin_left_s", "count"]
-            lines = [] if v1 else [fh.readline().strip() for _ in _V2_LAYOUT[1:]]
-            if not v1 and [first, *(line.partition("=")[0] for line in lines)] != _V2_LAYOUT:
-                raise ValueError(f"{path}: expected a v2 header or 'bin_left_s,count'")
             try:
+                first = fh.readline().strip()
+                v1 = [h.strip() for h in first.split(",")[:2]] == ["bin_left_s", "count"]
+                lines = [] if v1 else [fh.readline().strip() for _ in _V2_LAYOUT[1:]]
+                if not v1 and [first, *(line.partition("=")[0] for line in lines)] != _V2_LAYOUT:
+                    raise ValueError("expected a v2 header or 'bin_left_s,count'")
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                             UserWarning)
@@ -136,7 +136,7 @@ class IntervalHistogram:
                     raise ValueError("bins are not uniform")
                 return cls(float(widths[0]), rows["count"], origin=float(rows["bin"][0]))
             except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+                raise DegenerateDataError(f"{path}: {exc}") from None
 
 
 def write_table(path, header: str, row_format: str, *columns) -> None:
@@ -465,20 +465,19 @@ class InferredRate:
     clipped: bool = False
 
 
-# Every name of a rate model -> (name InferredRate reports, mean on-time
-# (r_star, tau_r), inverse (measured rate, ErParams) of 1 / (mean + tau_d)).
+# Rate model name -> (name InferredRate reports, mean on-time (r_star,
+# tau_r), inverse (measured rate, ErParams) of 1 / (mean + tau_d)).
 # The lambdas look a function up on its module per call, so wrappers see it.
 _RATE_MODELS = {
     "simple": ("simple", lambda r_star, tau_r: 1.0 / r_star,
                lambda r, params: nhpp.simple_rate_inverse(r, params.tau_d)),
     "er": ("er", lambda r_star, tau_r: er.er_mean_on_time(r_star, tau_r),
            lambda r, params: er.er_rate_inverse(r, params)),
-    "approx_low": ("approx_low", lambda r_star, tau_r: er.approx_low_mean(r_star, tau_r),
-                   lambda r, params: er.approx_low_inverse(r, params)),
-    "approx_high": ("approx_high", lambda r_star, tau_r: er.approx_high_mean(r_star, tau_r),
-                    lambda r, params: er.approx_high_inverse(r, params)),
+    "low": ("approx_low", lambda r_star, tau_r: er.approx_low_mean(r_star, tau_r),
+            lambda r, params: er.approx_low_inverse(r, params)),
+    "high": ("approx_high", lambda r_star, tau_r: er.approx_high_mean(r_star, tau_r),
+             lambda r, params: er.approx_high_inverse(r, params)),
 }
-_RATE_MODELS.update(low=_RATE_MODELS["approx_low"], high=_RATE_MODELS["approx_high"])
 
 
 def infer_apriori_rate(

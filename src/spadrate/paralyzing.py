@@ -49,8 +49,6 @@ class ParalyzingParams:
 
 def paralyzation_prob(pp: ParalyzingParams, r_star: float, tau_r: float) -> float:
     """Probability that an avalanche fires within tau_p1 of recovery start."""
-    if pp.tau_p1 == 0.0:
-        return 0.0
     return float(er.er_cdf(pp.tau_p1, r_star, tau_r))
 
 

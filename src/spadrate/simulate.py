@@ -22,6 +22,7 @@ metadata; a different sampler gives a different stream for the same seed.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -29,7 +30,9 @@ from typing import Any
 
 import numpy as np
 
-from .er import _SERIES, ErParams, SourceParams, er_cumulative_hazard, er_mean_on_time
+from .er import (_SERIES, ErParams, SourceParams, _rate_product, er_cumulative_hazard,
+                 er_mean_on_time)
+from .exceptions import DegenerateDataError
 from .paralyzing import ParalyzingParams
 
 __all__ = [
@@ -61,9 +64,11 @@ _HEADER = struct.Struct("<4sIQ")  # magic, version, count: 16 bytes
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A simulation run; the default ``ParalyzingParams()``, tau_p1 = 0, has no paralyzing."""
+
     er: ErParams
     source: SourceParams
-    paralyzing: ParalyzingParams | None = None
+    paralyzing: ParalyzingParams = ParalyzingParams()
     n_events: int | None = None
     duration: float | None = None
     seed: int = 0
@@ -96,19 +101,10 @@ class TimestampSeries:
             raise ValueError("timestamps must be strictly increasing")
 
 
-def _paralyzing_hazard(paralyzing: ParalyzingParams | None, r_star: float,
-                       tau_r: float) -> float:
-    """H1 = H(tau_p1), the integrated hazard of the paralyzable window (0 if none)."""
-    if paralyzing is None or paralyzing.tau_p1 == 0:
-        return 0.0
-    return float(er_cumulative_hazard(paralyzing.tau_p1, r_star, tau_r))
-
-
-def _mean_on_time(r_star: float, tau_r: float, paralyzing: ParalyzingParams | None) -> float:
-    """Exact mean of the sampled on-time, e^H1 <t>_er + expm1(H1) tau_p2."""
-    h1 = _paralyzing_hazard(paralyzing, r_star, tau_r)
-    extension = paralyzing.tau_p2 if h1 > 0 else 0.0
-    return np.exp(h1) * er_mean_on_time(r_star, tau_r) + np.expm1(h1) * extension
+def _mean_on_time(r_star: float, tau_r: float, paralyzing: ParalyzingParams) -> float:
+    """Exact mean of the sampled on-time, e^H1 <t>_er + expm1(H1) tau_p2, H1 = H(tau_p1)."""
+    h1 = er_cumulative_hazard(paralyzing.tau_p1, r_star, tau_r)
+    return np.exp(h1) * er_mean_on_time(r_star, tau_r) + np.expm1(h1) * paralyzing.tau_p2
 
 
 def _inverse_hazard(g: np.ndarray) -> np.ndarray:
@@ -137,15 +133,15 @@ def _sample_on_times(
     n: int,
     r_star: float,
     tau_r: float,
-    paralyzing: ParalyzingParams | None,
+    paralyzing: ParalyzingParams,
 ) -> np.ndarray:
     """Draw n independent detector-on times by inverting the integrated hazard.
 
     Every draw goes through blocks of ``_BLOCK``, so scratch memory stays
     O(n + block) however many paralyzations a detection has.
     """
-    a = r_star * tau_r
-    h1 = _paralyzing_hazard(paralyzing, r_star, tau_r)
+    a = _rate_product(r_star, tau_r)
+    h1 = er_cumulative_hazard(paralyzing.tau_p1, r_star, tau_r)
     out = np.zeros(n)
     if h1 > 0:
         per_detection = np.expm1(h1)
@@ -348,14 +344,14 @@ def write_timestamps_csv(path, series: TimestampSeries) -> None:
 def read_timestamps_csv(path) -> np.ndarray:
     """Timestamps of a CSV file; an empty file gives an empty array.
 
-    A malformed file raises ValueError naming the path.
+    A malformed file raises :class:`DegenerateDataError` naming the path.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             return np.loadtxt(path, dtype=float, ndmin=1)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise DegenerateDataError(f"{path}: {exc}") from None
 
 
 def write_timestamps_binary(path, series: TimestampSeries) -> None:
@@ -366,16 +362,18 @@ def write_timestamps_binary(path, series: TimestampSeries) -> None:
 
 
 def read_timestamps_binary(path) -> np.ndarray:
+    """Timestamps of a binary file; a malformed one raises :class:`DegenerateDataError`."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
+            raise DegenerateDataError(f"{path}: truncated header")
         magic, version, count = _HEADER.unpack(header)
         if magic != _BINARY_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+            raise DegenerateDataError(f"{path}: bad magic {magic!r}")
         if version != _BINARY_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
+            raise DegenerateDataError(f"{path}: unsupported version {version}")
+        # checked before reading: the header's count may ask for any size up to 2**67 bytes
+        if 8 * count > os.fstat(fh.fileno()).st_size - _HEADER.size:
+            raise DegenerateDataError(f"{path}: truncated payload")
         payload = fh.read(8 * count)
-    if len(payload) != 8 * count:
-        raise ValueError(f"{path}: truncated payload")
     return np.frombuffer(payload, dtype="<f8").astype(float)

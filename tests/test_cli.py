@@ -161,6 +161,14 @@ def test_fit_malformed_histogram_row_is_data_error(runner, tmp_path, row):
     assert str(hist) in result.output
 
 
+def test_fit_non_utf8_histogram_names_file(runner, tmp_path):
+    hist = tmp_path / "h.csv"
+    hist.write_bytes(b"\xff\xfebin_left_s,count\n0,1\n1e-9,2\n")
+    result = runner.invoke(cli, ["fit", str(hist), "--out", str(tmp_path / "fit.json")])
+    assert result.exit_code == 3, result.output
+    assert f"error: {hist}: 'utf-8' codec can't decode" in result.output
+
+
 _V2_HEADER = "# spadrate interval histogram v2\n# bin_width=1e-09\n# origin=0.0\n"
 
 
@@ -483,6 +491,17 @@ def test_config_with_unknown_keys_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("content", ["[]", "5", '"abc"', "null"])
+def test_config_that_is_not_an_object_is_usage_error(runner, tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    result = runner.invoke(
+        cli, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"config {cfg} must hold a JSON object" in result.output
+
+
 @pytest.mark.parametrize(
     "override, exit_code",
     [
@@ -630,6 +649,21 @@ def test_tabulate_paralyzing_rollover(runner, tmp_path):
     imax = int(np.argmax(rates))
     assert 0 < imax < rates.size - 1
     assert rates[-1] < rates[imax]
+
+
+@pytest.mark.parametrize("args", [
+    ["tabulate", "--from", "1e300", "--to", "1.7e308", "--points", "3", "--tau-r", "1e10"],
+    ["tabulate", "--from", "1e-300", "--to", "1e-299", "--points", "2", "--tau-r", "1e-10"],
+    ["infer", "--rate", "1e-310"],
+    ["simulate", "--ri", "1e300", "--tau-r", "1e10", "--events", "5"],
+], ids=["tabulate_overflow", "tabulate_subnormal", "infer_subnormal", "simulate_overflow"])
+def test_rate_product_outside_normal_range_is_usage_error(runner, tmp_path, args):
+    # the closed-form mean on-time is NaN there, and the sampler's hazard scale too
+    out = tmp_path / "out"
+    result = runner.invoke(cli, [*args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "r_star*tau_r" in result.output
+    assert not out.exists()
 
 
 def test_tabulate_paralyzing_requires_er_model(runner, tmp_path):

@@ -269,6 +269,16 @@ def test_mean_rejects_non_positive_or_non_finite_rate(r_star):
         er.er_mean_on_time(r_star, TAU_R)
 
 
+def test_mean_needs_a_normal_rate_product():
+    # outside [tiny, inf) the closed form is NaN, so it must raise rather than return it
+    tiny = np.finfo(float).tiny
+    for r_star, tau_r in [(1e300, 1e10), (1.7e308, 1e10), (1e-300, 1e-10),
+                          (np.nextafter(tiny, 0.0), 1.0)]:
+        with pytest.raises(ValueError, match=r"r_star\*tau_r"):
+            er.er_mean_on_time(r_star, tau_r)
+    assert er.er_mean_on_time(tiny, 1.0) == pytest.approx(1.0 / tiny, rel=1e-12)
+
+
 def test_er_rate_forward_low_rate(paper_params):
     assert er.er_rate_forward(1.0, paper_params) == pytest.approx(1.0, rel=1e-3)
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -144,6 +145,28 @@ def test_er_bins_log_jacobian_matches_finite_differences(paper_params, rt, bin_w
 def test_histogram_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,count\n0,1\n")
+    with pytest.raises(ValueError):
+        inference.IntervalHistogram.from_csv(path)
+
+
+_V2_HEADER = "# spadrate interval histogram v2\n# bin_width=1e-09\n# origin=0.0\n"
+
+
+@pytest.mark.parametrize("content", [
+    b"time,count\n0,1\n",
+    b"bin_left_s,count\n0,1\n1e-9,x\n",
+    b"bin_left_s,count\n0,1\n1e-9,-2\n",
+    _V2_HEADER.encode() + b"# overflow=0\n# n_bins=5\nbin_index,count\n1,3\n",
+    _V2_HEADER.encode() + b"# n_bins=5\n# overflow=0\nbin_index,count\n3,3\n5,2\n",
+    b"\xff\xfe,count\n0,1\n",
+], ids=["bad_header", "text_row", "negative_count", "v2_key_order", "v2_past_n_bins",
+        "not_utf8"])
+def test_malformed_histogram_file_is_degenerate_data(tmp_path, content):
+    # the CLI maps DegenerateDataError to exit 3 and any other ValueError to exit 2
+    path = tmp_path / "h.csv"
+    path.write_bytes(content)
+    with pytest.raises(DegenerateDataError, match=re.escape(str(path))):
+        inference.IntervalHistogram.from_csv(path)
     with pytest.raises(ValueError):
         inference.IntervalHistogram.from_csv(path)
 

@@ -1,9 +1,13 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import helpers
 from spadrate import er, simulate
+from spadrate.exceptions import DegenerateDataError
 from spadrate.paralyzing import ParalyzingParams
 
 
@@ -273,6 +277,26 @@ def test_binary_rejects_corruption(tmp_path):
     path.write_bytes(b"\x01")
     with pytest.raises(ValueError):
         simulate.read_timestamps_binary(path)
+
+
+@pytest.mark.parametrize("name, content", [
+    ("text.csv", b"1e-4\nabc\n"),
+    ("magic.bin", b"NOPE" + struct.pack("<IQ", 1, 0)),
+    ("header.bin", b"SPTS"),
+    ("payload.bin", b"SPTS" + struct.pack("<IQ", 1, 3) + np.zeros(2).tobytes()),
+    ("version.bin", b"SPTS" + struct.pack("<IQ", 2, 0)),
+    ("count.bin", b"SPTS" + struct.pack("<IQ", 1, 2**63) + np.zeros(2).tobytes()),
+], ids=["text_row", "bad_magic", "truncated_header", "truncated_payload", "bad_version",
+        "count_past_memory"])
+def test_malformed_timestamp_file_is_degenerate_data(tmp_path, name, content):
+    # the CLI maps DegenerateDataError to exit 3 and any other ValueError to exit 2
+    path = tmp_path / name
+    path.write_bytes(content)
+    read = simulate.read_timestamps_binary if name.endswith(".bin") else simulate.read_timestamps_csv
+    with pytest.raises(DegenerateDataError, match=re.escape(str(path))):
+        read(path)
+    with pytest.raises(ValueError):
+        read(path)
 
 
 def test_series_rejects_decreasing_times():
