@@ -364,6 +364,9 @@ def cmd_tabulate(eta0, tau_d, tau_r, sweep_from, sweep_to, points, model,
     if par.tau_p1 > 0:
         mean_of = functools.partial(paralyzing.paralyzing_mean_on_time, par)
     means = [mean_of(r_star, tau_r) for r_star in grid.tolist()]
+    for r_star, mean in zip(grid.tolist(), means):
+        if not np.isfinite(mean):
+            raise ValueError(f"{model} mean on-time is not finite at r_star = {r_star:g}")
     measured = [nhpp.rate_forward(mean, tau_d) for mean in means]
     out = _out_path(out, "sweep.csv")
     inference.write_table(out, "r_star_hz,mean_on_time_s,rate_hz", "{:.10g},{:.12g},{:.12g}",

@@ -267,8 +267,10 @@ def approx_low_inverse(r: float, params: ErParams) -> float:
     """Exact algebraic inverse of :func:`approx_low_forward`."""
     u = 1.0 / nhpp.simple_rate_inverse(r, params.tau_d)  # 1/r - tau_d, validated
     eps = 2.0 * params.tau_r / u
+    if eps == np.inf:
+        raise ValueError(f"2*tau_r/(1/r - tau_d) = 2*{params.tau_r:g}/{u:g} overflows a float")
     # sqrt(1 + eps^2) - 1 rewritten to avoid cancellation for small eps
-    correction = eps * eps / (1.0 + np.hypot(1.0, eps)) / (2.0 * params.tau_r)
+    correction = eps * (eps / (1.0 + np.hypot(1.0, eps))) / (2.0 * params.tau_r)
     return 1.0 / u + correction
 
 

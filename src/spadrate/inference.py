@@ -254,20 +254,22 @@ def _segments(hist: IntervalHistogram):
     return hist.origin + hist.bin_width * bounds, counts
 
 
-def _er_bins(edges, params, total):
+def _er_bins(edges, params, total, jacobian=True):
     """Exact expected counts between consecutive edges, and d log mu / d log p.
 
     ``params`` holds (r_star, tau_d, tau_r, scale).  A bin [a, b) gets
     scale * total * S(a) * (1 - exp(-[H(b) - H(a)])), with H the integrated
     hazard of the on-time max(edge - tau_d, 0) and S = exp(-H); this form
     has no tail cancellation.  The Jacobian has one row per parameter of
-    _PARAM_NAMES.
+    _PARAM_NAMES; without ``jacobian`` it is None and never built.
     """
     r_star, tau_d, tau_r, scale = params
     on = np.maximum(edges - tau_d, 0.0)
     hazard = er.er_cumulative_hazard(on, r_star, tau_r)
     step = np.diff(hazard)
     mu = scale * total * np.exp(-hazard[:-1]) * -np.expm1(-step)
+    if not jacobian:
+        return mu, None
     x = on / tau_r
     recovered = -np.expm1(-x)
     # d H / d log p; every row vanishes at the dead-time edge
@@ -288,7 +290,7 @@ def expected_counts(hist: IntervalHistogram, r_star: float, tau_d: float, tau_r:
                     scale: float = 1.0, *, populated: bool = False) -> np.ndarray:
     """Exact expected count of every bin, or only of ``populated`` ones: the fit's model."""
     edges, counts = _segments(hist) if populated else (hist.bin_edges, None)
-    mu, _ = _er_bins(edges, (r_star, tau_d, tau_r, scale), hist.total)
+    mu, _ = _er_bins(edges, (r_star, tau_d, tau_r, scale), hist.total, jacobian=False)
     return mu[counts > 0] if populated else mu
 
 

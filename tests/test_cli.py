@@ -358,6 +358,18 @@ def test_simulate_csv_golden_bytes(runner, tmp_path, extra, digest):
     assert hashlib.sha256(ts.read_bytes()).hexdigest() == digest
 
 
+def test_simulate_heavy_paralysis_golden_bytes(runner, tmp_path):
+    # the top blinding rung, r_star ~ 6e9 /s: ~311 paralysed segments per
+    # detection, ~38 sampler blocks, detections straddling block edges
+    ts = tmp_path / "ts.bin"
+    result = runner.invoke(cli, ["simulate", "--ri", "3.1386e10", "--tau-d", "1e-6",
+                                 "--tau-p1", "15e-9", "--tau-p2", "27e-9", "--events", "2000",
+                                 "--seed", "0", "--format", "bin", "--out", str(ts)])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(ts.read_bytes()).hexdigest() == (
+        "8ec86b03bc8b9fe4496e2273cb1725ea3e35c7228c8b14e23b4ba9d92c38ea5b")
+
+
 def test_simulate_fractional_event_count_is_usage_error(runner, tmp_path):
     result = runner.invoke(cli, _simulate_args(tmp_path / "x.csv", events="2.7"))
     assert result.exit_code == 2, result.output
@@ -664,6 +676,32 @@ def test_rate_product_outside_normal_range_is_usage_error(runner, tmp_path, args
     assert result.exit_code == 2, result.output
     assert "r_star*tau_r" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["simple", "high"])
+def test_tabulate_at_subnormal_rate_is_usage_error(runner, tmp_path, model):
+    # the mean 1/r_star overflows; a row of inf and a measured rate of 0 is no answer
+    out = tmp_path / "sweep.csv"
+    result = runner.invoke(cli, ["tabulate", "--model", model, "--from", "1e-310", "--to",
+                                 "1e-309", "--points", "2", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "not finite" in result.output
+    assert not out.exists()
+
+
+def test_infer_low_model_past_square_overflow(runner, tmp_path):
+    # eps = 2 tau_r / (1/r - tau_d) = 2e304: its square overflows, eps itself does not
+    out = tmp_path / "infer.json"
+    result = runner.invoke(cli, ["infer", "--rate", "1e4", "--model", "low", "--tau-d", "0",
+                                 "--tau-r", "1e300", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text())["total_apriori_hz"] == pytest.approx(2e4, rel=1e-15)
+    # eps itself past the float range
+    result = runner.invoke(cli, ["infer", "--rate", "1e4", "--model", "low", "--tau-d", "0",
+                                 "--tau-r", "1e305", "--out", str(out.with_name("x.json"))])
+    assert result.exit_code == 2, result.output
+    assert "overflows a float" in result.output
+    assert not out.with_name("x.json").exists()
 
 
 def test_tabulate_paralyzing_requires_er_model(runner, tmp_path):

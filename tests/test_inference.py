@@ -256,6 +256,16 @@ def test_expected_counts_sum_to_scaled_total(paper_params):
     assert mu.sum() == pytest.approx(0.5 * hist.total, rel=1e-9)
 
 
+def test_expected_counts_equal_the_fit_bin_law(paper_params):
+    hist = helpers.multinomial_interval_hist(1e7, paper_params, 20_000, seed=315)
+    params = (1e7, paper_params.tau_d, paper_params.tau_r, 0.5)
+    dense = inference.expected_counts(hist, *params)
+    np.testing.assert_array_equal(dense, inference._er_bins(hist.bin_edges, params, hist.total)[0])
+    edges, counts = inference._segments(hist)
+    np.testing.assert_array_equal(inference.expected_counts(hist, *params, populated=True),
+                                  inference._er_bins(edges, params, hist.total)[0][counts > 0])
+
+
 def test_scale_only_fit_is_unbiased(paper_params):
     hist = helpers.multinomial_interval_hist(1e7, paper_params, 1_000_000, seed=301)
     res = inference.fit_er_histogram(

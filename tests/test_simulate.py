@@ -123,6 +123,43 @@ def test_inverse_hazard_matches_mpmath():
     assert simulate._inverse_hazard(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
 
+def _inverse_hazard_reference(g):
+    """Three Newton steps over the whole array, the series by np.polyval."""
+    x = g + 1.0
+    small = np.flatnonzero(g < 2.0)
+    s = np.sqrt(2.0 * g[small])
+    x[small] = s * (1.0 + s * (1.0 / 6.0 + s / 72.0))
+    low = np.flatnonzero(g < simulate._G_SERIES)
+    for _ in range(3):
+        f = x + np.expm1(-x)
+        xl = x[low]
+        f[low] = xl * xl * np.polyval(er._SERIES, xl)
+        slope = np.maximum(-np.expm1(-x), np.finfo(float).tiny)
+        x -= (f - g) / slope
+    return x
+
+
+def test_inverse_hazard_regimes_invert_as_if_alone():
+    # g = 0, the series regime, the direct regime from the small-g start and
+    # from g + 1, shuffled over more than two chunks of the Newton loop
+    rng = np.random.default_rng(11)
+    pool = np.concatenate([
+        [0.0, simulate._G_SERIES, np.nextafter(simulate._G_SERIES, 0.0), 2.0, 1e-300],
+        rng.uniform(0.0, simulate._G_SERIES, 100),
+        rng.uniform(simulate._G_SERIES, 2.0, 100),
+        2.0 + rng.exponential(10.0, 100),
+    ])
+    alone = np.array([simulate._inverse_hazard(pool[i:i + 1])[0] for i in range(pool.size)])
+    pick = rng.permutation(np.resize(np.arange(pool.size), 2 * simulate._CHUNK + 7))
+    x = simulate._inverse_hazard(pool[pick])
+    np.testing.assert_array_equal(x.view(np.int64), alone[pick].view(np.int64))
+    np.testing.assert_array_equal(x.view(np.int64),
+                                  _inverse_hazard_reference(pool[pick]).view(np.int64))
+    wide = np.concatenate([[0.0], np.logspace(-300, 300, 6001)])
+    np.testing.assert_array_equal(simulate._inverse_hazard(wide).view(np.int64),
+                                  _inverse_hazard_reference(wide).view(np.int64))
+
+
 def test_distribution_matches_model_ks(paper_params):
     r_star = 0.1 / paper_params.tau_r
     config = _config(paper_params, r_star, n_events=200_000, seed=15)
