@@ -220,6 +220,7 @@ def cmd_hist(timestamps, bin_width, bounds, out):
         raise DegenerateDataError(f"{timestamps}: timestamp at row {bad[0] + 1} is not finite")
     with np.errstate(over="ignore"):
         gaps = simulate.intervals(times)
+    del times  # binning needs only the gaps
     bad = np.flatnonzero((gaps < 0) | (gaps == np.inf))
     if bad.size:
         what = "decrease" if gaps[bad[0]] < 0 else "lie too far apart for a float interval"

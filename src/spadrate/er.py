@@ -306,4 +306,6 @@ def approx_high_inverse(r: float, params: ErParams) -> float:
     u = 1.0 / nhpp.simple_rate_inverse(r, params.tau_d)  # 1/r - tau_d, validated
     c = np.sqrt(np.pi * params.tau_r / 2.0)
     s = 2.0 * u / (c + np.sqrt(c * c + 4.0 * u / 3.0))  # the root without cancellation
-    return 1.0 / (s * s)
+    # s * s may underflow: the rate is then inf, which infer_apriori_rate refuses
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / (s * s)

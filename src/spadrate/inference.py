@@ -19,6 +19,7 @@ data: it is exact for empty tail bins and needs no ad hoc variance model.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -414,7 +415,9 @@ def fit_er_histogram(
         return deviance(params_of(x))
 
     def failure(message, x):
-        return FitError(message, details={"params": dict(zip(_PARAM_NAMES, params_of(x).tolist()))})
+        params = dict(zip(_PARAM_NAMES, params_of(x).tolist()))
+        ended = ", ".join(f"{name}={params[name]:.6g}" for name in np.array(_PARAM_NAMES)[free])
+        return FitError(f"{message} (free parameters ended at {ended})", details={"params": params})
 
     # Coarse grid over tau_r: once tau_r is far longer than the data span
     # the hazard depends on r_star / tau_r alone and the information is
@@ -500,6 +503,9 @@ def infer_apriori_rate(
     if not 0 <= dark_apriori < np.inf:
         raise ValueError(f"dark rate must be finite and non-negative, got {dark_apriori}")
     total = inverse(r_measured, params)
+    if not math.isfinite(total):
+        raise ValueError(f"the {kind} a priori rate for a measured {r_measured:g} /s"
+                         f" is {total}, not a finite float")
     photon = total - dark_apriori
     clipped = photon < 0
     return InferredRate(

@@ -172,7 +172,9 @@ def fit_paralyzing(points, params: er.ErParams) -> ParalyzingFit:
         if not objective(x)[2][0, 0] > 1.0:
             message = ("tau_p1 is not resolved: its 1-sigma error exceeds its value, as when "
                        "the means show no paralyzation beyond the exponential-recovery model")
-        return FitError(f"paralyzing fit: {message}", details={"tau_p1": float(np.exp(x[0]))})
+        tau_p1 = float(np.exp(x[0]))
+        return FitError(f"paralyzing fit: {message} (tau_p1 ended at {tau_p1:.6g})",
+                        details={"tau_p1": tau_p1})
 
     x = np.array([np.log(tau_r / 10.0)])
     x, _, information, _ = _fisher_scoring(objective, x, objective(x), failure)

@@ -704,6 +704,16 @@ def test_infer_low_model_past_square_overflow(runner, tmp_path):
     assert not out.with_name("x.json").exists()
 
 
+def test_infer_high_model_past_float_range_is_usage_error(runner, tmp_path):
+    # s = r_star**-0.5 underflows its square, so the approximate inverse 1 / s**2 is inf
+    out = tmp_path / "infer.json"
+    result = runner.invoke(cli, ["infer", "--rate", "1e4", "--model", "high", "--tau-d", "0",
+                                 "--tau-r", "1e308", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "not a finite float" in result.output
+    assert not out.exists()
+
+
 def test_tabulate_paralyzing_requires_er_model(runner, tmp_path):
     result = runner.invoke(
         cli,

@@ -366,6 +366,19 @@ def test_fit_that_cannot_separate_r_star_from_tau_r_is_fit_error(paper_params, s
         inference.fit_er_histogram(hist)
 
 
+def test_failed_fit_names_where_its_free_parameters_ended(paper_params):
+    # r_star*tau_r ~ 1e-4 in 1 ns bins: tau_r runs toward 0 until the line search stalls
+    config = simulate.SimConfig(er=paper_params, source=er.SourceParams(photon_rate=4650),
+                                n_events=5000, seed=5)
+    hist = inference.build_histogram(simulate.intervals(simulate.simulate(config)), 1e-9)
+    with pytest.raises(FitError, match="line search found no decrease") as failed:
+        inference.fit_er_histogram(hist, fixed={"tau_d": paper_params.tau_d, "scale": 1.0})
+    params = failed.value.details["params"]
+    assert str(failed.value).endswith(
+        f"(free parameters ended at r_star={params['r_star']:.6g}, tau_r={params['tau_r']:.6g})")
+    assert params["tau_r"] < 0.1 * paper_params.tau_r
+
+
 # ---------------------------------------------------------------------------
 # rate inference
 

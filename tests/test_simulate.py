@@ -1,5 +1,8 @@
+import math
 import re
 import struct
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -296,6 +299,119 @@ def test_line_kernel_matches_fstring():
     # one value outside (1e-6, 1e17) sends the block through the f-string
     mixed = np.concatenate([[0.0, 5e-7, 1e-6, 1e17, 3e20, -1.5], exact[:1000]])
     assert simulate._format_lines(mixed) == _g17_lines(mixed)
+
+
+def _loadtxt(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty file
+        return np.loadtxt(path, dtype=float, ndmin=1)
+
+
+def _read_both_ways(path):
+    """read_timestamps_csv of path, checked bit for bit against np.loadtxt."""
+    back = simulate.read_timestamps_csv(path)
+    assert back.shape == _loadtxt(path).shape
+    assert np.array_equal(back.view(np.int64), _loadtxt(path).view(np.int64))
+    return back
+
+
+def _decimal_line(digits, e):
+    """%.17g's layout of the decimal digits[0].digits[1:] * 10**e, for -6 <= e <= 16."""
+    digits = digits.rstrip("0") or "0"
+    if e >= 0:
+        whole, fraction = digits[:e + 1].ljust(e + 1, "0"), digits[e + 1:]
+        return whole + ("." + fraction if fraction else "")
+    if e >= -4:
+        return "0." + "0" * (-e - 1) + digits
+    return digits[0] + ("." + digits[1:] if digits[1:] else "") + f"e-0{-e}"
+
+
+def _midpoint_lines(rng, per_exponent):
+    """17-digit decimals at and within one unit of midpoints between adjacent doubles."""
+    lines = []
+    for e in range(-6, 17):
+        for x in 10 ** rng.uniform(e, e + 1, per_exponent):
+            if not 10.0 ** e <= x < 10.0 ** (e + 1):
+                continue
+            mid = (Fraction(x) + Fraction(np.nextafter(x, np.inf))) / 2
+            closest = round(mid * Fraction(10) ** (16 - e))
+            lines += [_decimal_line(str(d), e) for d in (closest - 1, closest, closest + 1)
+                      if 10 ** 16 <= d < 10 ** 17]
+    # integers that are exact midpoints: odd above 2**53, 2 mod 4 above 2**54, ...
+    for j in range(4):
+        low, high = 2 ** (53 + j), min(2 ** (54 + j), 10 ** 17)
+        step = 2 ** (j + 1)
+        lines += [str(d) for d in (rng.integers(low // step, high // step, per_exponent) * step
+                                   + step // 2).tolist()]
+    # D / 10**k in [2**e, 2**(e+1)) a distance |d| / (2 * 5**k) ulp, down to 2**-52 ulp, from a
+    # midpoint: D * 2**n = odd * 10**k + 2**k * d with n = 53 - e, solved modulo 5**k
+    for k in range(10, 23):
+        for e in range(math.ceil((16 - k) * math.log2(10)), math.floor((17 - k) * math.log2(10))):
+            n = 53 - e
+            for d in (1, -1, 3, -3, 1000):
+                first = -(-10 ** k // 2 ** -e) if e < 0 else 2 ** e * 10 ** k
+                first += (d * pow(2 ** (n - k), -1, 5 ** k) - first) % 5 ** k
+                odd = [D for D in range(first, first + 2 * 5 ** k, 5 ** k)
+                       if (D * 2 ** n - 2 ** k * d) // 10 ** k % 2]
+                lines += [_decimal_line(str(D), 16 - k) for D in odd[:1]
+                          if 10 ** 16 <= D < 10 ** 17 and D * 2 ** n < 2 ** 54 * 10 ** k]
+    return lines
+
+
+def test_csv_reader_is_exact_on_the_writer_lines(tmp_path):
+    rng = np.random.default_rng(29)
+    powers = np.array([float(f"1e{e}") for e in range(-5, 17)])
+    values = np.concatenate([
+        _halfway_values(rng),
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        np.sort(10 ** rng.uniform(-6, 17, 200_000)),
+    ])
+    values = values[(values > 1e-6) & (values < 1e17)]
+    path = tmp_path / "ts.csv"
+    path.write_bytes(b"".join(simulate._format_lines(block)
+                              for block in np.array_split(values, 100)))
+    with open(path, "rb") as fh:
+        assert simulate._parse_csv(fh) is not None  # the parser, not the fallback, read it
+    assert np.array_equal(_read_both_ways(path).view(np.int64), values.view(np.int64))
+
+
+def test_csv_reader_rounds_near_midpoints_correctly(tmp_path):
+    lines = _midpoint_lines(np.random.default_rng(31), 500)
+    path = tmp_path / "mid.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    with open(path, "rb") as fh:
+        assert simulate._parse_csv(fh) is not None
+    expected = np.array([float(line) for line in lines])
+    assert np.array_equal(_read_both_ways(path).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("content", [
+    b"1.5\nnan\n2.5\n",
+    b"1.5\ninf\n-inf\n",
+    b"1.5\r\n2.5\r\n",
+    b"1.5\n2.5",
+    b"# header\n1.5\n2.5 # note\n",
+    b"1.5\n\n2.5\n",
+    b"-1.5\n+2.5\n",
+    b" 1.5\n2.5 \n",
+    b"0\n1e+17\n9.9999999999999995e-07\n",
+    b"1e5\n1E-05\n1.5e-05\n",
+    b"123456789012345678\n",
+    b"0.000000000000000000000012345\n",
+], ids=["nan", "inf", "crlf", "no_final_newline", "comments", "blank_line", "signs", "spaces",
+        "fstring_lines", "other_exponents", "18_digits", "long_line"])
+def test_csv_reader_falls_back_to_loadtxt(tmp_path, content):
+    path = tmp_path / "ts.csv"
+    path.write_bytes(content)
+    with open(path, "rb") as fh:
+        assert simulate._parse_csv(fh) is None
+    assert _read_both_ways(path).size > 0
+
+
+def test_csv_reader_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    assert _read_both_ways(path).size == 0
 
 
 def test_binary_round_trip(paper_params, tmp_path):
