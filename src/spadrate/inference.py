@@ -44,6 +44,9 @@ _PARAM_NAMES = ("r_star", "tau_d", "tau_r", "scale")
 # numpy caps an array at intp-max bytes, so no array of 8-byte values is longer
 MAX_ARRAY_LENGTH = np.iinfo(np.intp).max // 8
 
+# Intervals binned at a time by build_histogram: its temporaries stay ~0.5 MiB
+_HIST_BLOCK = 2**14
+
 
 _V2_KEYS = ("bin_width", "origin", "n_bins", "overflow")
 _V2_LAYOUT = ["# spadrate interval histogram v2", *(f"# {key}" for key in _V2_KEYS),
@@ -163,35 +166,42 @@ def build_histogram(
     [lo, hi) go to the overflow tally.  Without bounds the origin is 0,
     everything at or above it is kept and the bins extend to the maximum.
     Non-finite intervals, and more bins than one array could hold, raise
-    ValueError.  An array of n_bins is made only when there are at least
-    half as many intervals as bins, where bincount beats unique's sort.
+    ValueError.  The in-range bin indices are built block by block in one
+    int64 buffer, so the binning holds about one interval-sized array.  An
+    array of n_bins is made only when there are at least half as many
+    intervals as bins, where bincount beats unique's sort.
     """
     if not 0 < bin_width < np.inf:
         raise ValueError(f"bin_width must be finite and positive, got {bin_width}")
-    values = np.asarray(intervals, dtype=float)
+    values = np.asarray(intervals, dtype=float).ravel()
     if not np.isfinite(values).all():
         raise ValueError("intervals must be finite")
-    origin, n_bins = 0.0, None
     # a quotient past the float range is an index past any bin count: inf is fine
     with np.errstate(over="ignore"):
         if bounds is not None:
             lo, hi = bounds
             if not -np.inf < lo < hi < np.inf:
                 raise ValueError(f"bounds must be finite with lo < hi, got {bounds}")
-            origin = lo
-            n_bins = np.ceil((hi - lo) / bin_width - 1e-12)
-        idx = np.floor((values - origin) / bin_width)
-    if n_bins is None:
-        n_bins = max(idx.max(initial=-1.0) + 1, 0.0)
-    if n_bins > MAX_ARRAY_LENGTH:
-        raise ValueError(f"bin_width {bin_width:g} gives {n_bins:.3g} bins, more than the "
-                         f"{MAX_ARRAY_LENGTH} one array can hold")
-    n_bins = int(n_bins)
-    # clip and cast before selecting: every index fits an int64, and a README run peaks lower
-    idx = np.clip(idx, -1, n_bins, out=idx).astype(np.int64)
-    idx = idx[(idx >= 0) & (idx < n_bins)]
-    overflow = values.size - idx.size
-    if n_bins <= 2 * idx.size:
+            origin, n_bins = lo, np.ceil((hi - lo) / bin_width - 1e-12)
+        else:
+            # floor((x - origin) / bin_width) is monotone in x: the maximum gives the last bin
+            origin = 0.0
+            n_bins = max(np.floor(values.max(initial=-np.inf) / bin_width) + 1, 0.0)
+        if n_bins > MAX_ARRAY_LENGTH:
+            raise ValueError(f"bin_width {bin_width:g} gives {n_bins:.3g} bins, more than the "
+                             f"{MAX_ARRAY_LENGTH} one array can hold")
+        n_bins = int(n_bins)
+        idx, size = np.empty(values.size, dtype=np.int64), 0
+        for start in range(0, values.size, _HIST_BLOCK):
+            block = np.floor((values[start:start + _HIST_BLOCK] - origin) / bin_width)
+            # clip before the cast: every index then fits an int64
+            block = np.clip(block, -1, n_bins, out=block).astype(np.int64)
+            block = block[(block >= 0) & (block < n_bins)]
+            idx[size:size + block.size] = block
+            size += block.size
+    idx = idx[:size]
+    overflow = values.size - size
+    if n_bins <= 2 * size:
         return IntervalHistogram(bin_width, np.bincount(idx, minlength=n_bins), origin, overflow)
     index, tally = np.unique(idx, return_counts=True)
     return IntervalHistogram(bin_width, tally, origin, overflow, index=index, n_bins=n_bins)

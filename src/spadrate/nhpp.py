@@ -12,8 +12,11 @@ the detector-on time has density r_i * eta(t) * ccdf(t), and the measured
 rate follows from the mean detector-on time via rate = 1/(<t> + tau_d).
 
 Everything here is generic over the recovery shape; the exponential
-specialisation lives in :mod:`spadrate.er`.  scipy's integrate and optimize
-load inside the functions that use them, which spares every CLI call.
+specialisation lives in :mod:`spadrate.er`.  :func:`invert_rate` is the
+generic rate inverse (bracket expansion, then Brent's method); the
+exponential-recovery inverse ``er.er_rate_inverse`` has its own solver and
+does not call it.  scipy's integrate and optimize load inside the functions
+that use them, so no CLI command imports them.
 """
 
 from __future__ import annotations
@@ -200,7 +203,8 @@ def simple_rate_inverse(r: float, tau_d: float) -> float:
         raise ValueError(f"measured rate must be finite and positive, got {r}")
     if not 0 <= tau_d < np.inf:
         raise ValueError(f"dead-time must be finite and non-negative, got {tau_d}")
-    if tau_d > 0 and r >= 1.0 / tau_d:
+    # just below 1/tau_d, 1/r can round to tau_d: that r saturates as well
+    if tau_d > 0 and (r >= 1.0 / tau_d or 1.0 / r <= tau_d):
         raise SaturationError(
             f"measured rate {r:.6g} /s is at or above the dead-time "
             f"saturation limit 1/tau_d = {1.0 / tau_d:.6g} /s"

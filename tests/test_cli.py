@@ -395,6 +395,17 @@ def test_import_loads_no_quadrature_or_optimiser():
     assert out.stdout.strip() == "[]"
 
 
+def test_infer_er_loads_no_quadrature_or_optimiser(tmp_path):
+    # the ER rate inverse has its own solver: a CLI inversion needs neither module
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); from spadrate.cli import cli; "
+            f"cli(['infer', '--rate', '12.4e3', '--model', 'er', '--out', "
+            f"{str(tmp_path / 'infer.json')!r}], standalone_mode=False); "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "infer.json").read_text())["total_apriori_hz"] > 12.4e3
+
+
 def test_table_file_formats(runner, tmp_path):
     # histogram file v2: a header of exact repr values, then "%d,%d" rows
     # of the populated bins; every line ends in "\r\n"

@@ -347,6 +347,92 @@ def test_er_rate_inverse_recovers_simulated_rate(paper_params):
     assert recovered == pytest.approx(r_star, rel=1e-2)
 
 
+_INVERSE_GRID = [10.0 ** (k / 4) for k in range(-32, 33)]  # a = r_star*tau_r, 1e-8..1e8
+
+
+def _generic_inverse(r, params):
+    """The bracketed Brent inverse of nhpp, as an independent oracle."""
+    return nhpp.invert_rate(lambda x: er.er_rate_forward(x, params), r,
+                            bracket=(r, 10.0 * nhpp.simple_rate_inverse(r, params.tau_d)))
+
+
+def test_er_rate_inverse_is_exact_without_dead_time(paper_params):
+    params = er.ErParams(paper_params.eta0, 0.0, paper_params.tau_r)
+    for a in _INVERSE_GRID:
+        r_star = a / params.tau_r
+        back = er.er_rate_inverse(er.er_rate_forward(r_star, params), params)
+        assert abs(back / r_star - 1.0) <= 1e-13, f"a={a:g}: {back!r} vs {r_star!r}"
+
+
+def test_er_rate_inverse_with_dead_time_is_as_good_as_the_generic_inverse(paper_params):
+    # above a = 1e3, 1/r - tau_d cancels: both inverses lose digits to r's rounding
+    for a in _INVERSE_GRID:
+        r_star = a / paper_params.tau_r
+        r = er.er_rate_forward(r_star, paper_params)
+        err = abs(er.er_rate_inverse(r, paper_params) / r_star - 1.0)
+        if a <= 1e3:
+            assert err <= 1e-11, f"a={a:g}: {err:.3g}"
+        else:
+            generic = abs(_generic_inverse(r, paper_params) / r_star - 1.0)
+            assert err <= generic + 1e-10, f"a={a:g}: {err:.3g} vs generic {generic:.3g}"
+
+
+def test_er_rate_inverse_calls_the_mean_at_most_six_times(paper_params, monkeypatch):
+    calls = []
+    mean = er.er_mean_on_time
+
+    def counted(r_star, tau_r):
+        calls.append(r_star)
+        return mean(r_star, tau_r)
+
+    monkeypatch.setattr(er, "er_mean_on_time", counted)
+    for tau_d in (0.0, paper_params.tau_d):
+        params = er.ErParams(paper_params.eta0, tau_d, paper_params.tau_r)
+        for a in _INVERSE_GRID:
+            r = er.er_rate_forward(a / params.tau_r, params)
+            calls.clear()
+            er.er_rate_inverse(r, params)
+            assert 1 <= len(calls) <= 6, f"tau_d={tau_d:g}, a={a:g}: {len(calls)} calls"
+
+
+def test_er_rate_inverse_bisects_when_the_secant_overshoots(paper_params, monkeypatch):
+    # a mean falling as a^-3 is steeper than the slope clip [-1, -1/2] allows:
+    # every secant step overshoots and only the sign bracket converges
+    monkeypatch.setattr(er, "er_mean_on_time",
+                        lambda r_star, tau_r: tau_r * (r_star * tau_r) ** -3.0)
+    params = er.ErParams(paper_params.eta0, 0.0, paper_params.tau_r)
+    for a in (1e-3, 1.0, 1e3):
+        r = 1.0 / (params.tau_r * a ** -3.0)
+        assert er.er_rate_inverse(r, params) == pytest.approx(a / params.tau_r, rel=1e-12)
+
+
+def test_er_rate_inverse_at_the_lowest_normal_rate_product(paper_params):
+    # a = 1e-300 * 112.5e-9 ~ 1.1e-307 is a normal double
+    assert er.er_rate_inverse(1e-300, paper_params) == pytest.approx(1e-300, rel=1e-12)
+
+
+def test_er_rate_inverse_rejects_subnormal_rate_product(paper_params):
+    # a ~ 1.1e-309 is subnormal, where the closed-form mean is refused
+    with pytest.raises(ValueError) as info:
+        er.er_rate_inverse(1e-302, paper_params)
+    assert not isinstance(info.value, SaturationError)
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-15, 1.5, 1e10])
+def test_er_rate_inverse_saturates_at_and_above_inverse_dead_time(paper_params, factor):
+    with pytest.raises(SaturationError):
+        er.er_rate_inverse(factor / paper_params.tau_d, paper_params)
+
+
+def test_er_rate_inverse_saturates_where_one_over_r_rounds_to_dead_time():
+    # r sits one ulp below 1/tau_d, and 1/r rounds to tau_d exactly
+    params = er.ErParams(eta0=0.5, tau_d=1e-3, tau_r=1e-7)
+    r = 999.9999999999999
+    assert r < 1.0 / params.tau_d and 1.0 / r == params.tau_d
+    with pytest.raises(SaturationError):
+        er.er_rate_inverse(r, params)
+
+
 def test_approx_low_mean_at_vanishing_rate_product():
     tau_r = 1e-12
     r_star = 1.0

@@ -107,6 +107,32 @@ def test_build_histogram_over_many_bins_allocates_only_populated_ones():
     np.testing.assert_array_equal(hist.index, np.unique(np.floor(values / 1e-9)))
 
 
+def test_build_histogram_peaks_at_about_one_interval_array():
+    # 1e6 intervals shaped like the README flow's: ~80k bins of 1 ns, ~400 populated
+    values = 80.09205e-6 + np.random.default_rng(11).gamma(2.0, 3e-8, 1_000_000)
+    tracemalloc.start()
+    try:
+        hist = inference.build_histogram(values, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * values.nbytes
+    index, tally = np.unique(np.floor(values / 1e-9), return_counts=True)
+    assert hist.n_bins == int(index[-1]) + 1
+    np.testing.assert_array_equal(hist.index, index)
+    np.testing.assert_array_equal(hist.tally, tally)
+
+
+@pytest.mark.parametrize("size", [inference._HIST_BLOCK - 1, 2 * inference._HIST_BLOCK + 7])
+def test_build_histogram_blocks_bin_as_one_array(size):
+    values = np.random.default_rng(size).uniform(-0.5, 2.5, size)
+    hist = inference.build_histogram(values, 2.0**-10, bounds=(0.0, 2.0))
+    q = np.floor(values / 2.0**-10)
+    inside = q[(q >= 0) & (q < 2048)].astype(np.int64)
+    assert (hist.n_bins, hist.overflow) == (2048, size - inside.size)
+    np.testing.assert_array_equal(hist.counts, np.bincount(inside, minlength=2048))
+
+
 def test_lumped_empty_runs_leave_deviance_and_gradient_unchanged(paper_params):
     # 2000 intervals leave runs of empty bins inside the populated span
     hist = helpers.multinomial_interval_hist(1e7, paper_params, 2000, seed=1)

@@ -150,6 +150,12 @@ def test_simple_rate_inverse_rejects_non_finite_or_out_of_domain(r, tau_d):
     assert not isinstance(info.value, SaturationError)
 
 
+def test_simple_rate_inverse_saturates_where_one_over_r_rounds_to_dead_time():
+    # one ulp below 1/tau_d, 1/r - tau_d is exactly 0: no division by zero
+    with pytest.raises(SaturationError):
+        nhpp.simple_rate_inverse(999.9999999999999, 1e-3)
+
+
 def test_invert_rate_matches_closed_form():
     tau_d = 80.092e-6
     forward = lambda x: 1.0 / (1.0 / x + tau_d)
