@@ -104,7 +104,19 @@ def _one_minus_exp(x):
 
 
 # Taylor coefficients (-1)^j / (j + 2)! of (x + expm1(-x)) / x^2, j = 9 down to 0
-_SERIES = (-1.0) ** np.arange(9, -1, -1) / special.factorial(np.arange(11, 1, -1))
+_SERIES = tuple((-1.0) ** j / math.factorial(j + 2) for j in range(9, -1, -1))
+# x + expm1(-x) at x = 0.1, where the direct form starts losing digits.
+_G_SERIES = 0.1 + np.expm1(-0.1)
+
+
+def _series(x: np.ndarray) -> np.ndarray:
+    """x + expm1(-x) by the ten-term series, as (x*x) * np.polyval(_SERIES, x) in place."""
+    f = np.full(x.shape, _SERIES[0])
+    for c in _SERIES[1:]:
+        f *= x
+        f += c
+    f *= x * x
+    return f
 
 
 def _x_plus_expm1(x):
@@ -114,12 +126,9 @@ def _x_plus_expm1(x):
     Taylor series (truncated below 1e-18) takes over; both are within 1.2e-15.
     """
     x = np.asarray(x, dtype=float)
+    out = np.asarray(x + np.expm1(-x))
     small = x < 0.1
-    xs = np.where(small, x, 0.0)
-    series = xs * xs * np.polyval(_SERIES, xs)
-    with np.errstate(invalid="ignore"):
-        direct = x + np.expm1(-x)
-    out = np.where(small, series, direct)
+    out[small] = _series(x[small])
     return out if out.ndim else float(out)
 
 
@@ -207,22 +216,28 @@ def er_mean_on_time(r_star: float, tau_r: float) -> float:
         <t> = tau_r * e^a a^-a Gamma(a) * P(a, a) ,
 
     where P is the regularized lower incomplete gamma function (DLMF 8.2).
-    Raises ValueError unless a is a normal double: below, the prefactor
-    ~1/a overflows; at inf the form is NaN.
+    Raises ValueError unless a is a normal double (below, the prefactor
+    ~1/a overflows; at inf the form is NaN) and when the mean overflows.
     """
     if not (0 < r_star < np.inf and 0 < tau_r < np.inf):
         raise ValueError(f"r_star and tau_r must be finite and positive, got {r_star}, {tau_r}")
     a = _rate_product(r_star, tau_r)
     if a < 20.0:
-        prefactor = np.exp(a - a * np.log(a) + special.gammaln(a))
+        # Gamma(a) = Gamma(1 + a)/a keeps the exponent near 0 at tiny a, where
+        # its rounding would otherwise scale the mean's error by |log a|
+        prefactor = math.exp(a - a * math.log(a) + special.gammaln(1.0 + a)) / a
     else:
         # a - a log a + gammaln(a) cancels as a grows (7e-10 relative at
         # a = 1e6); the Stirling series for log Gamma(a) - (a - 1/2) log a + a
         # - log sqrt(2 pi) has no cancellation and is good to ~1e-15 from a = 20
         inv = 1.0 / a
         series = inv / 12 - inv**3 / 360 + inv**5 / 1260 - inv**7 / 1680 + inv**9 / 1188
-        prefactor = np.sqrt(2.0 * np.pi * inv) * np.exp(series)
-    return float(tau_r * prefactor * special.gammainc(a, a))
+        prefactor = float(np.sqrt(2.0 * np.pi * inv) * np.exp(series))
+    mean = tau_r * prefactor * float(special.gammainc(a, a))
+    if mean == np.inf:
+        raise ValueError(f"the mean on-time at r_star*tau_r = {a:g} (tau_r = {tau_r:g} s) "
+                         "overflows a float")
+    return mean
 
 
 def er_rate_forward(r_star: float, params: ErParams) -> float:
@@ -242,14 +257,30 @@ _LOG_STEP_TOL = 1e-13
 _MAX_STEPS = 100
 
 
-def _inverse_seed(m: float) -> tuple[float, float]:
-    """(a, d log M / d log a) near the root of M(a) = m, in closed form."""
+def _roots(m: float) -> tuple[float, float]:
+    """(low-rate, high-rate) closed-form a with M(a) = m; inf past the float range."""
     # low rate: a is the positive root of m*a^2 + (m - 2)*a - 1 = 0
     a_low = (1.0 + 2.0 / (math.hypot(m, 2.0) + m)) / m
     # high rate: s = a^-1/2 is the positive root of s^2/3 + c*s = m, c = sqrt(pi/2)
     half_c = 0.5 * _SQRT_HALF_PI
     inv_s = (half_c + math.sqrt(half_c * half_c + m / 3.0)) / m
-    a = max(a_low, inv_s * inv_s)  # inf past the float range
+    return a_low, inv_s * inv_s
+
+
+def _on_time_ratio(r: float, params: ErParams) -> tuple[float, float]:
+    """(u, m): the on-time u = 1/r - tau_d that r implies and m = u/tau_r, a positive float."""
+    nhpp.simple_rate_inverse(r, params.tau_d)  # validates r and saturation
+    u = 1.0 / r - params.tau_d
+    m = u / params.tau_r
+    if not 0.0 < m < np.inf:
+        raise ValueError(f"(1/r - tau_d)/tau_r = {u:g}/{params.tau_r:g} is not a positive float, "
+                         "so r_star*tau_r lies outside the normal float range")
+    return float(u), float(m)  # plain floats: past the float range they give inf, not a warning
+
+
+def _inverse_seed(m: float) -> tuple[float, float]:
+    """(a, d log M / d log a) near the root of M(a) = m, in closed form."""
+    a = max(_roots(m))  # inf past the float range
     a *= math.exp(1.0 / (2.0 / a / a + 6.0 * a))
     q, h, w_low = a / (1.0 + a), _SQRT_HALF_PI * math.sqrt(a), 1.0 / (1.0 + a * a)
     slope_low = -(1.0 + q * q) / (1.0 + q)
@@ -268,18 +299,13 @@ def er_rate_inverse(r: float, params: ErParams) -> float:
     for r at or above 1/tau_d, and ValueError when r_star*tau_r is not a
     normal double.
     """
-    nhpp.simple_rate_inverse(r, params.tau_d)  # validates r and saturation
-    u, tau_r = 1.0 / r - params.tau_d, params.tau_r
-    m = u / tau_r
-    if not 0.0 < m < np.inf:
-        raise ValueError(f"(1/r - tau_d)/tau_r = {u:g}/{tau_r:g} is not a positive float, so "
-                         "r_star*tau_r lies outside the normal float range")
+    u, m = _on_time_ratio(r, params)
     a, slope = _inverse_seed(m)
-    r_star = a / tau_r  # inf past the float range, which er_mean_on_time refuses
+    r_star = a / params.tau_r  # inf past the float range, which er_mean_on_time refuses
     lo, hi, last = 0.0, np.inf, None
     for _ in range(_MAX_STEPS):
         # looked up per call, so wrappers of er_mean_on_time see it
-        f = math.log(er_mean_on_time(r_star, tau_r) / u)
+        f = math.log(er_mean_on_time(r_star, params.tau_r) / u)
         if f > 0.0:  # on-time too long: the root lies above
             lo = r_star
         else:
@@ -322,13 +348,11 @@ def approx_low_forward(r_star: float, params: ErParams) -> float:
 
 def approx_low_inverse(r: float, params: ErParams) -> float:
     """Exact algebraic inverse of :func:`approx_low_forward`."""
-    u = 1.0 / nhpp.simple_rate_inverse(r, params.tau_d)  # 1/r - tau_d, validated
-    eps = 2.0 * params.tau_r / u
-    if eps == np.inf:
-        raise ValueError(f"2*tau_r/(1/r - tau_d) = 2*{params.tau_r:g}/{u:g} overflows a float")
-    # sqrt(1 + eps^2) - 1 rewritten to avoid cancellation for small eps
-    correction = eps * (eps / (1.0 + np.hypot(1.0, eps))) / (2.0 * params.tau_r)
-    return 1.0 / u + correction
+    a = _roots(_on_time_ratio(r, params)[1])[0]
+    if a == np.inf:
+        raise ValueError(f"r_star*tau_r ~ 2*tau_r/(1/r - tau_d) at r = {r:g} /s, "
+                         f"tau_d = {params.tau_d:g} s, tau_r = {params.tau_r:g} s overflows a float")
+    return a / params.tau_r
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +379,5 @@ def approx_high_forward(r_star: float, params: ErParams) -> float:
 
 
 def approx_high_inverse(r: float, params: ErParams) -> float:
-    """Exact algebraic inverse of :func:`approx_high_forward`, in closed form.
-
-    With s = r_star^-1/2 and c = sqrt(pi*tau_r/2) the mean is c*s + s^2/3,
-    so s is the positive root of s^2/3 + c*s = 1/r - tau_d.
-    """
-    u = 1.0 / nhpp.simple_rate_inverse(r, params.tau_d)  # 1/r - tau_d, validated
-    c = np.sqrt(np.pi * params.tau_r / 2.0)
-    s = 2.0 * u / (c + np.sqrt(c * c + 4.0 * u / 3.0))  # the root without cancellation
-    # s * s may underflow: the rate is then inf, which infer_apriori_rate refuses
-    with np.errstate(divide="ignore", over="ignore"):
-        return 1.0 / (s * s)
+    """Exact algebraic inverse of :func:`approx_high_forward`; inf past the float range."""
+    return _roots(_on_time_ratio(r, params)[1])[1] / params.tau_r

@@ -30,8 +30,8 @@ from typing import Any
 
 import numpy as np
 
-from .er import (_SERIES, ErParams, SourceParams, _rate_product, er_cumulative_hazard,
-                 er_mean_on_time)
+from .er import (_G_SERIES, ErParams, SourceParams, _rate_product, _series,
+                 er_cumulative_hazard, er_mean_on_time)
 from .exceptions import DegenerateDataError
 from .paralyzing import ParalyzingParams
 
@@ -56,8 +56,6 @@ _BLOCK = 1 << 14
 # Paralysed segments one call may draw: ~1.5 minutes at ~0.07-0.10 us per
 # draw on a 2-vCPU x86 VM.
 _MAX_PARALYZED_DRAWS = 1e9
-# x + expm1(-x) at x = 0.1, where the direct form starts losing digits.
-_G_SERIES = 0.1 + np.expm1(-0.1)
 # Values per Newton pass of _inverse_hazard: 2^13 was faster than both 2^12
 # and a whole block of 2^14 on the same VM.
 _CHUNK = 1 << 13
@@ -116,7 +114,7 @@ def _inverse_hazard(g: np.ndarray) -> np.ndarray:
 
     Starts from the small-g series s + s^2/6 + s^3/72 (s = sqrt(2g)) below
     g = 2 and from g + 1 above.  Where the root is below x = 0.1 the left
-    side is the ten-term series of ``er._SERIES``; g = 0 gives 0.  Each
+    side is the ten-term series ``er._series``; g = 0 gives 0.  Each
     regime of each chunk of ``_CHUNK`` values is iterated as one compact
     array, and every value gets the same operations as when inverted alone.
     """
@@ -140,14 +138,7 @@ def _newton(g: np.ndarray, series: bool) -> np.ndarray:
     x[small] = s * (1.0 + s * (1.0 / 6.0 + s / 72.0))
     for _ in range(3):
         m = np.expm1(-x)
-        if series:  # (x*x) * np.polyval(_SERIES, x), in polyval's order
-            f = np.full(x.size, _SERIES[0])
-            for c in _SERIES[1:]:
-                f *= x
-                f += c
-            f *= x * x
-        else:
-            f = x + m
+        f = _series(x) if series else x + m
         x -= (f - g) / np.maximum(-m, np.finfo(float).tiny)  # 0/0 at g = 0
     return x
 

@@ -192,6 +192,19 @@ def test_fit_malformed_v2_histogram_is_data_error(runner, tmp_path, content):
     assert str(hist) in result.output
 
 
+@pytest.mark.parametrize("content, message", [
+    ("bin_left_s,count\n", "histogram is empty"),
+    ("bin_left_s,count\n0,5\n", "cannot infer bin width from a single bin"),
+    ("bin_left_s,count\n0,1\n1e-9,2\n3e-9,3\n", "bins are not uniform"),
+], ids=["header_only", "one_row", "non_uniform"])
+def test_fit_degenerate_v1_histogram_is_data_error(runner, tmp_path, content, message):
+    hist = tmp_path / "h.csv"
+    hist.write_text(content)
+    result = runner.invoke(cli, ["fit", str(hist), "--out", str(tmp_path / "fit.json")])
+    assert result.exit_code == 3, result.output
+    assert message in result.output
+
+
 def test_fit_bad_assignment_is_usage_error(runner, tmp_path):
     hist = tmp_path / "h.csv"
     hist.write_text("bin_left_s,count\n0,1\n1e-9,2\n")
@@ -471,6 +484,16 @@ def test_infer_command(runner, tmp_path):
     assert "a priori" in result.output
 
 
+def test_infer_clips_photon_rate_below_dark_rate(runner, tmp_path):
+    out = tmp_path / "infer.json"
+    result = runner.invoke(cli, ["infer", "--rate", "1e3", "--dark", "1e6", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "warning: photon rate clipped at zero" in result.output
+    report = json.loads(out.read_text())
+    assert report["clipped"] is True
+    assert report["photon_apriori_hz"] == 0.0
+
+
 def test_infer_saturation_exit_code(runner, tmp_path):
     result = runner.invoke(
         cli, ["infer", "--rate", "1e9", "--out", str(tmp_path / "x.json")]
@@ -492,6 +515,9 @@ def test_infer_saturation_exit_code(runner, tmp_path):
     ["hist", "ts.csv", "--bin-width", "nan"],
     ["hist", "ts.csv", "--bin-width", "inf"],
     ["hist", "ts.csv", "--range", "0", "nan"],
+    ["tabulate", "--from", "1e7", "--to", "1e6"],
+    ["tabulate", "--from", "1e6", "--to", "1e7", "--points", "0"],
+    ["simulate", "--events", "10"],
 ], ids="_".join)
 def test_non_finite_or_out_of_domain_flag_is_usage_error(runner, tmp_path, args):
     result = runner.invoke(cli, [*args, "--out", str(tmp_path / "x.out")])
@@ -512,6 +538,18 @@ def test_config_with_unknown_keys_is_usage_error(runner, tmp_path):
         cli, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+def test_unreadable_config_is_usage_error(runner, tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    result = runner.invoke(
+        cli, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"cannot read config {cfg}" in result.output
 
 
 @pytest.mark.parametrize("content", ["[]", "5", '"abc"', "null"])
@@ -679,7 +717,9 @@ def test_tabulate_paralyzing_rollover(runner, tmp_path):
     ["tabulate", "--from", "1e-300", "--to", "1e-299", "--points", "2", "--tau-r", "1e-10"],
     ["infer", "--rate", "1e-310"],
     ["simulate", "--ri", "1e300", "--tau-r", "1e10", "--events", "5"],
-], ids=["tabulate_overflow", "tabulate_subnormal", "infer_subnormal", "simulate_overflow"])
+    ["tabulate", "--from", "2e-309", "--to", "3e-309", "--points", "2", "--tau-r", "50"],
+], ids=["tabulate_overflow", "tabulate_subnormal", "infer_subnormal", "simulate_overflow",
+        "tabulate_mean_overflow"])
 def test_rate_product_outside_normal_range_is_usage_error(runner, tmp_path, args):
     # the closed-form mean on-time is NaN there, and the sampler's hazard scale too
     out = tmp_path / "out"

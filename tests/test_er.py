@@ -84,6 +84,11 @@ def test_pdf_zero_at_zero():
     assert er.er_pdf(0.0, 5e7, TAU_R) == 0.0
 
 
+def test_pdf_rejects_zero_rate():
+    with pytest.raises(ValueError, match="r_star must be positive"):
+        er.er_pdf(1e-7, 0.0, TAU_R)
+
+
 def test_pdf_instantaneous_recovery_limit():
     # tau_r -> 0 collapses to the plain exponential density
     r_star = 5e7
@@ -277,6 +282,20 @@ def test_mean_needs_a_normal_rate_product():
         with pytest.raises(ValueError, match=r"r_star\*tau_r"):
             er.er_mean_on_time(r_star, tau_r)
     assert er.er_mean_on_time(tiny, 1.0) == pytest.approx(1.0 / tiny, rel=1e-12)
+
+
+@pytest.mark.parametrize("r_star", [1e-300, 9.999999999999766e-301, 1.0000000000000004e-300])
+def test_mean_at_tiny_rate_product_matches_mpmath(r_star):
+    # a ~ 1e-307: an exponent near 707 would pass its rounding on to the mean
+    pytest.importorskip("mpmath")
+    exact = helpers.mp_mean_on_time(r_star, TAU_R)
+    assert abs(er.er_mean_on_time(r_star, TAU_R) / exact - 1) <= 1e-15
+
+
+def test_mean_past_float_range_raises():
+    # a = 1e-307 is a normal double, but the mean ~ tau_r / a = 5e308 s is not
+    with pytest.raises(ValueError, match=r"r_star\*tau_r = 1e-307"):
+        er.er_mean_on_time(2e-309, 50.0)
 
 
 def test_er_rate_forward_low_rate(paper_params):

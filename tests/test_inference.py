@@ -476,6 +476,11 @@ def test_dark_rate_rejects_non_finite_measurement(rate):
         inference.dark_count_rate_from_measurement(rate, 80e-6)
 
 
+def test_dark_rate_rejects_negative_measurement():
+    with pytest.raises(ValueError, match="must be non-negative"):
+        inference.dark_count_rate_from_measurement(-1.0, 80e-6)
+
+
 def test_dark_rate_round_trip():
     tau_d = 80.09205e-6
     measured = nhpp.rate_forward(1.0 / 858.0, tau_d)  # what 858 Hz a priori produces

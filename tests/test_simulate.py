@@ -265,6 +265,17 @@ def test_csv_round_trip(paper_params, tmp_path):
     np.testing.assert_array_equal(back, series.times)
 
 
+def test_csv_reader_grows_past_its_first_guess(tmp_path):
+    # lines of 2-7 bytes: the first allocation, 16 bytes a line, is too small
+    times = np.arange(1.0, 300_001.0)
+    path = tmp_path / "ts.csv"
+    simulate.write_timestamps_csv(path, simulate.TimestampSeries(times))
+    assert path.stat().st_size // 16 + 1 < times.size
+    with open(path, "rb") as fh:
+        back = simulate._parse_csv(fh)
+    np.testing.assert_array_equal(back.view(np.int64), times.view(np.int64))
+
+
 def _g17_lines(x):
     return "".join(f"{t:.17g}\n" for t in x.tolist()).encode()
 
