@@ -7,8 +7,11 @@ is modeled at mean level only: no probability density is claimed for the
 paralyzing case.
 
 The mean needs one integral, the conditional numerator N of t * pdf(t)
-over [0, tau_p1], taken with a fixed Gauss-Legendre rule.  With H the
-hazard over the window, the mean is <t>_er + e^H * N + expm1(H) * tau_p2.
+over [0, tau_p1], taken with a fixed 48-point Gauss-Legendre rule from
+numpy.  The window ends early where the hazard reaches 50, the root of
+x + expm1(-x) = 50 / (r_star * tau_r) in units of tau_r, found by the
+sampler's Newton inverse.  With H the hazard over the window, the mean
+is <t>_er + e^H * N + expm1(H) * tau_p2.
 It is linear in tau_p2, so the fit solves tau_p2 in closed form for each
 tau_p1 and scores log tau_p1 alone (variable projection).
 """
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import er
 from .exceptions import FitError
@@ -52,19 +54,21 @@ def paralyzation_prob(pp: ParalyzingParams, r_star: float, tau_r: float) -> floa
     return float(er.er_cdf(pp.tau_p1, r_star, tau_r))
 
 
-_GL_X, _GL_W = special.roots_legendre(48)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(48)
 
 
 def _conditional_numerator(tau_p1: float, r_star: float, tau_r: float) -> float:
     """Integral of t * pdf(t) over [0, tau_p1] by 48-point Gauss-Legendre panels.
 
-    The window ends where the hazard reaches 50, x50 = c + W0(-e^-c) with
-    c = 1 + 50 / (r_star * tau_r) in units of tau_r, dropping below
-    (end/<t> + 1) e^-50 of the mass.  Panels split at 40 tau_r resolve the
-    recovery knee however long the window is.
+    The window ends where the hazard reaches 50, if it does before tau_p1,
+    dropping below (end/<t> + 1) e^-50 of the mass.  Panels split at
+    40 tau_r resolve the recovery knee however long the window is.  Raises
+    ValueError unless r_star * tau_r is a normal double.
     """
-    c = 1.0 + 50.0 / (r_star * tau_r)
-    end = min(tau_p1, tau_r * (c + special.lambertw(-np.exp(-c)).real))
+    a = er._rate_product(r_star, tau_r)
+    end = tau_p1
+    if a * er._x_plus_expm1(tau_p1 / tau_r) > 50.0:
+        end = min(tau_p1, tau_r * float(er._inverse_hazard(np.array([50.0 / a]))[0]))
     knee = min(end, 40.0 * tau_r)
     half = 0.5 * np.array([[knee], [end - knee]])
     t = np.array([[0.0], [knee]]) + half * (_GL_X + 1.0)

@@ -30,8 +30,9 @@ from typing import Any
 
 import numpy as np
 
-from .er import (_G_SERIES, ErParams, SourceParams, _rate_product, _series,
-                 er_cumulative_hazard, er_mean_on_time)
+# _CHUNK and _G_SERIES set the regimes of _inverse_hazard; its tests read them here
+from .er import (_CHUNK, _G_SERIES, ErParams, SourceParams, _inverse_hazard,
+                 _rate_product, er_cumulative_hazard, er_mean_on_time)
 from .exceptions import DegenerateDataError
 from .paralyzing import ParalyzingParams
 
@@ -56,9 +57,6 @@ _BLOCK = 1 << 14
 # Paralysed segments one call may draw: ~1.5 minutes at ~0.07-0.10 us per
 # draw on a 2-vCPU x86 VM.
 _MAX_PARALYZED_DRAWS = 1e9
-# Values per Newton pass of _inverse_hazard: 2^13 was faster than both 2^12
-# and a whole block of 2^14 on the same VM.
-_CHUNK = 1 << 13
 _BINARY_MAGIC = b"SPTS"
 _BINARY_VERSION = 1
 _HEADER = struct.Struct("<4sIQ")  # magic, version, count: 16 bytes
@@ -107,40 +105,6 @@ def _mean_on_time(r_star: float, tau_r: float, paralyzing: ParalyzingParams) -> 
     """Exact mean of the sampled on-time, e^H1 <t>_er + expm1(H1) tau_p2, H1 = H(tau_p1)."""
     h1 = er_cumulative_hazard(paralyzing.tau_p1, r_star, tau_r)
     return np.exp(h1) * er_mean_on_time(r_star, tau_r) + np.expm1(h1) * paralyzing.tau_p2
-
-
-def _inverse_hazard(g: np.ndarray) -> np.ndarray:
-    """The x >= 0 with x + expm1(-x) = g, by three Newton steps.
-
-    Starts from the small-g series s + s^2/6 + s^3/72 (s = sqrt(2g)) below
-    g = 2 and from g + 1 above.  Where the root is below x = 0.1 the left
-    side is the ten-term series ``er._series``; g = 0 gives 0.  Each
-    regime of each chunk of ``_CHUNK`` values is iterated as one compact
-    array, and every value gets the same operations as when inverted alone.
-    """
-    x = np.empty_like(g)
-    for start in range(0, g.size, _CHUNK):
-        gc, xc = g[start:start + _CHUNK], x[start:start + _CHUNK]
-        series = gc < _G_SERIES
-        if series.all() or not series.any():
-            xc[:] = _newton(gc, series[0])
-        else:
-            xc[series] = _newton(gc[series], True)
-            xc[~series] = _newton(gc[~series], False)
-    return x
-
-
-def _newton(g: np.ndarray, series: bool) -> np.ndarray:
-    """``_inverse_hazard`` on values of one regime: all below ``_G_SERIES`` or none."""
-    x = g + 1.0
-    small = g < 2.0
-    s = np.sqrt(2.0 * g[small])
-    x[small] = s * (1.0 + s * (1.0 / 6.0 + s / 72.0))
-    for _ in range(3):
-        m = np.expm1(-x)
-        f = _series(x) if series else x + m
-        x -= (f - g) / np.maximum(-m, np.finfo(float).tiny)  # 0/0 at g = 0
-    return x
 
 
 def _sample_on_times(

@@ -408,6 +408,22 @@ def test_import_loads_no_quadrature_or_optimiser():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_infer_and_tabulate_load_no_special_functions(tmp_path):
+    # the mean on-time, the Gauss-Legendre rule and the paralyzing window end
+    # (reached past ~5e10 /s) are computed without scipy.special
+    steps = [[], ["infer", "--rate", "12.4e3", "--model", "er", "--out", str(tmp_path / "i.json")],
+             ["tabulate", "--from", "3e7", "--to", "3e11", "--points", "12", "--tau-p1", "15e-9",
+              "--tau-p2", "27e-9", "--out", str(tmp_path / "t.csv")]]
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); from spadrate.cli import cli\n"
+            f"for args in {steps!r}:\n"
+            "    if args: cli(args, standalone_mode=False)\n"
+            "    print('special loaded:', 'scipy.special' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("special loaded:")]
+    assert loaded == ["special loaded: False"] * 3
+    assert (tmp_path / "t.csv").exists()
+
+
 def test_infer_er_loads_no_quadrature_or_optimiser(tmp_path):
     # the ER rate inverse has its own solver: a CLI inversion needs neither module
     code = (f"import sys; sys.path.insert(0, {SRC!r}); from spadrate.cli import cli; "
@@ -762,6 +778,18 @@ def test_infer_high_model_past_float_range_is_usage_error(runner, tmp_path):
                                  "--tau-r", "1e308", "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "not a finite float" in result.output
+    assert not out.exists()
+
+
+def test_tabulate_paralyzing_rate_product_underflow_is_usage_error(runner, tmp_path):
+    # r_star * tau_r = 1e-330 underflows to 0, which the paralyzing window
+    # would divide by: it is refused as a usage error, not a traceback
+    out = tmp_path / "sweep.csv"
+    result = runner.invoke(cli, ["tabulate", "--from", "1e-300", "--to", "1e-299", "--points", "1",
+                                 "--tau-r", "1e-30", "--model", "er", "--tau-p1", "1e-8",
+                                 "--tau-p2", "1e-9", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "r_star*tau_r" in result.output
     assert not out.exists()
 
 

@@ -64,6 +64,30 @@ def test_hazard_small_time_expansion():
     assert er.er_cumulative_hazard(t, r_star, TAU_R) == pytest.approx(two_terms, rel=1e-8)
 
 
+def test_x_plus_expm1_scalar_has_the_array_bits(monkeypatch):
+    # a 0-d input takes a Python-float path; it must give an array entry's bits
+    rng = np.random.default_rng(5)
+    tiny = np.finfo(float).tiny
+    x = np.concatenate([
+        [0.0, 5e-324, 1e-310, tiny, np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0),
+         1e300, np.finfo(float).max],
+        rng.uniform(0.0, 0.1, 5000), rng.uniform(0.1, 2.0, 5000),
+        10.0 ** rng.uniform(-320.0, 300.0, 5000),
+    ])
+    scalar = np.array([er._x_plus_expm1(v) for v in x.tolist()])
+    np.testing.assert_array_equal(scalar.view(np.int64), er._x_plus_expm1(x).view(np.int64))
+    for v in (0.05, np.float64(0.5), np.array(2.0)):
+        assert type(er._x_plus_expm1(v)) is float
+    # with no entry below 0.1 the series does not run, nor on an empty array
+    def series(x):
+        raise AssertionError("series evaluated")
+
+    monkeypatch.setattr(er, "_series", series)
+    assert er._x_plus_expm1(np.array([0.1, 3.0])).tolist() == [0.1 + np.expm1(-0.1),
+                                                             3.0 + np.expm1(-3.0)]
+    assert er._x_plus_expm1(np.array([])).shape == (0,)
+
+
 def test_hazard_matches_quadrature():
     r_star, t = 5e7, 500e-9
     val, _ = integrate.quad(
@@ -290,6 +314,20 @@ def test_mean_at_tiny_rate_product_matches_mpmath(r_star):
     pytest.importorskip("mpmath")
     exact = helpers.mp_mean_on_time(r_star, TAU_R)
     assert abs(er.er_mean_on_time(r_star, TAU_R) / exact - 1) <= 1e-15
+
+
+def test_mean_within_2e_15_of_mpmath_over_the_float_range():
+    # the series of positive terms below _A0, Stirling times Temme's expansion
+    # from _A0 up: a = r_star at tau_r = 1, so no rounding enters a
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(6)
+    a0 = er._A0
+    a = np.concatenate([10.0 ** rng.uniform(-300.0, 6.0, 1000), 10.0 ** rng.uniform(-2.0, 6.0, 1000),
+                        [np.nextafter(a0, 0.0), a0, np.nextafter(a0, np.inf)]])
+    errors = [abs(er.er_mean_on_time(x, 1.0) / helpers.mp_mean_on_time(x, 1.0) - 1.0)
+              for x in a.tolist()]
+    worst = int(np.argmax(errors))
+    assert errors[worst] <= 2e-15, f"a = {a[worst]!r}: {errors[worst]:.3g}"
 
 
 def test_mean_past_float_range_raises():
