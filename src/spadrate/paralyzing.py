@@ -8,16 +8,19 @@ paralyzing case.
 
 The mean needs one integral, the conditional numerator N of t * pdf(t)
 over [0, tau_p1], taken with a fixed 48-point Gauss-Legendre rule from
-numpy.  The window ends early where the hazard reaches 50, the root of
-x + expm1(-x) = 50 / (r_star * tau_r) in units of tau_r, found by the
-sampler's Newton inverse.  With H the hazard over the window, the mean
-is <t>_er + e^H * N + expm1(H) * tau_p2.
+numpy.  The window ends early once the hazard passes 50, at tau_r * x_b
+with x_b the closed-form root of x^2 / (2 + x) = 50 / (r_star * tau_r):
+x^2 / (2 + x) is a lower bound of x + expm1(-x), the hazard in units of
+r_star * tau_r, so no solver is needed.  With H the hazard over the
+window, the mean is <t>_er + e^H * N + expm1(H) * tau_p2; past H = 709.8
+e^H overflows (full paralysis) and the mean raises ValueError.
 It is linear in tau_p2, so the fit solves tau_p2 in closed form for each
 tau_p1 and scores log tau_p1 alone (variable projection).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,15 +63,14 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(48)
 def _conditional_numerator(tau_p1: float, r_star: float, tau_r: float) -> float:
     """Integral of t * pdf(t) over [0, tau_p1] by 48-point Gauss-Legendre panels.
 
-    The window ends where the hazard reaches 50, if it does before tau_p1,
-    dropping below (end/<t> + 1) e^-50 of the mass.  Panels split at
-    40 tau_r resolve the recovery knee however long the window is.  Raises
-    ValueError unless r_star * tau_r is a normal double.
+    The window ends at tau_r * x_b if sooner: x_b solves x^2/(2 + x) = 50/a, a = r_star *
+    tau_r, and x^2/(2 + x) <= x + expm1(-x) (below x = 2 as artanh(x/2) >= x/2), so the
+    hazard there is 50 to 57 and the cut drops below (end/<t> + 1) e^-50 of the mass.
+    Panels split at 40 tau_r resolve the recovery knee however long the window is.
+    Raises ValueError unless a is a normal double.
     """
-    a = er._rate_product(r_star, tau_r)
-    end = tau_p1
-    if a * er._x_plus_expm1(tau_p1 / tau_r) > 50.0:
-        end = min(tau_p1, tau_r * float(er._inverse_hazard(np.array([50.0 / a]))[0]))
+    c = 50.0 / er._rate_product(r_star, tau_r)
+    end = min(tau_p1, tau_r * 0.5 * (c + math.sqrt(c * (c + 8.0))))
     knee = min(end, 40.0 * tau_r)
     half = 0.5 * np.array([[knee], [end - knee]])
     t = np.array([[0.0], [knee]]) + half * (_GL_X + 1.0)
@@ -98,15 +100,29 @@ def _prolongation_terms(tau_p1: float, r_star: float, tau_r: float) -> tuple[flo
     expm1(H) = p/(1-p) prolongations of N/p + tau_p2 each; expm1(H)/p = e^H,
     so neither p nor 1 - p (which loses digits as p -> 1) is formed.
     """
-    hazard = er.er_cumulative_hazard(tau_p1, r_star, tau_r)
-    numerator = _conditional_numerator(tau_p1, r_star, tau_r)
-    return float(np.exp(hazard) * numerator), float(np.expm1(hazard))
+    # past H ~ 709.8 both are inf, the detector fully paralysed; a window or
+    # time scale past the float range gives inf or nan, never a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        hazard = er.er_cumulative_hazard(tau_p1, r_star, tau_r)
+        numerator = _conditional_numerator(tau_p1, r_star, tau_r)
+        return float(np.exp(hazard) * numerator), float(np.expm1(hazard))
 
 
 def paralyzing_mean_on_time(pp: ParalyzingParams, r_star: float, tau_r: float) -> float:
-    """Mean time between dead-time end and the next registered detection."""
+    """Mean time between dead-time end and the next registered detection.
+
+    Raises ValueError when the mean is not finite, as under full paralysis.
+    """
     extra, count = _prolongation_terms(pp.tau_p1, r_star, tau_r)
-    return er.er_mean_on_time(r_star, tau_r) + extra + count * pp.tau_p2
+    mean = er.er_mean_on_time(r_star, tau_r) + extra + count * pp.tau_p2
+    if not mean < np.inf:
+        with np.errstate(over="ignore"):
+            hazard = float(er.er_cumulative_hazard(pp.tau_p1, r_star, tau_r))
+        raise ValueError(
+            f"paralyzing mean on-time is not finite at r_star = {r_star:g}: H(tau_p1) = "
+            f"{hazard:.4g}, {count:.3g} paralyzations per detection (full paralysis past 709.8)"
+        )
+    return mean
 
 
 @dataclass(frozen=True)

@@ -102,9 +102,16 @@ class TimestampSeries:
 
 
 def _mean_on_time(r_star: float, tau_r: float, paralyzing: ParalyzingParams) -> float:
-    """Exact mean of the sampled on-time, e^H1 <t>_er + expm1(H1) tau_p2, H1 = H(tau_p1)."""
+    """Exact mean of the sampled on-time, e^H1 <t>_er + expm1(H1) tau_p2, H1 = H(tau_p1).
+
+    inf where e^H1 overflows: the detector is fully paralysed.
+    """
     h1 = er_cumulative_hazard(paralyzing.tau_p1, r_star, tau_r)
-    return np.exp(h1) * er_mean_on_time(r_star, tau_r) + np.expm1(h1) * paralyzing.tau_p2
+    with np.errstate(over="ignore"):
+        scale, count = np.exp(h1), np.expm1(h1)
+    if count == np.inf:
+        return np.inf
+    return scale * er_mean_on_time(r_star, tau_r) + count * paralyzing.tau_p2
 
 
 def _sample_on_times(
@@ -123,7 +130,8 @@ def _sample_on_times(
     h1 = er_cumulative_hazard(paralyzing.tau_p1, r_star, tau_r)
     out = np.zeros(n)
     if h1 > 0:
-        per_detection = np.expm1(h1)
+        with np.errstate(over="ignore"):
+            per_detection = np.expm1(h1)
         if n * per_detection > _MAX_PARALYZED_DRAWS:
             raise ValueError(
                 f"paralyzing configuration out of reach: {per_detection:.3g} paralyzations "

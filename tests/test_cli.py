@@ -802,6 +802,31 @@ def test_tabulate_paralyzing_requires_er_model(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["tabulate", "--model", "er", "--from", "1e6", "--to", "1e12", "--points", "4",
+      "--tau-p1", "1e-6"], "full paralysis"),
+    (["simulate", "--ri", "5e10", "--events", "10", "--tau-p1", "1e-6"], "expected per detection"),
+    (["simulate", "--ri", "5e10", "--duration", "1e-3", "--tau-p1", "1e-6"],
+     "expected per detection"),
+    # tau_p1 / tau_r, or the window numerator, past the float range
+    (["tabulate", "--from", "1", "--to", "1", "--points", "1", "--tau-r", "1e-12",
+      "--tau-p1", "1.7e308"], "full paralysis"),
+    (["tabulate", "--from", "1.7e308", "--to", "1.7e308", "--points", "1", "--tau-r", "1e-300",
+      "--tau-d", "1", "--tau-p1", "1"], "full paralysis"),
+    (["tabulate", "--from", "1e-310", "--to", "1e-300", "--points", "1", "--tau-r", "1.7e308",
+      "--tau-d", "1", "--tau-p1", "1.7e308"], "overflows a float"),
+], ids=["tabulate", "simulate_events", "simulate_duration", "window_over_tau_r_overflows",
+        "numerator_underflows", "numerator_overflows"])
+def test_full_paralysis_is_usage_error(runner, tmp_path, args, message):
+    # H(tau_p1) ~ 9e3 at 1e10 /s and at 5e10 photons/s: e^H overflows a float,
+    # which must not surface as an overflow warning
+    out = tmp_path / "out.csv"
+    result = runner.invoke(cli, [*args, "--tau-p2", "27e-9", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_default_output_directory_env(runner, tmp_path, monkeypatch):
     outdir = tmp_path / "results"
     outdir.mkdir()

@@ -126,7 +126,9 @@ def test_paralyzing_mean_dominates_er_mean(r_star):
     + [
         pytest.param(rs, ParalyzingParams(tau_p1=p1, tau_p2=PP.tau_p2), id=f"long-{p1:g}-{rs:g}")
         for p1, rs in ((1e-6, 1e7), (1e-6, 1e8), (5e-6, 3e7), (1e-5, 1e6), (1e-4, 1e5))
-    ],
+    ]
+    # the paper's window past H = 50 (H ~ 96 and ~ 287), where the window end is cut
+    + [pytest.param(rs, PP, id=f"cut-{rs:g}") for rs in (1e11, 3e11)],
 )
 def test_paralyzing_mean_matches_mpmath_oracle(r_star, pp):
     pytest.importorskip("mpmath")
@@ -139,13 +141,31 @@ def test_paralyzing_mean_matches_mpmath_oracle(r_star, pp):
 @pytest.mark.parametrize(
     "r_star, tau_r, tau_p1",
     [(rs, TAU_R, p1) for p1 in (1e-9, 1e-8, 1e-7, 1e-6) for rs in (1e5, 1e7, 1e9, 3e10)]
-    + [(a, 1.0, x) for a in 10.0 ** np.arange(-8, 9, 4) for x in (1e-4, 1e-3, 1e-2, 1, 1e2, 1e4)],
+    + [(a, 1.0, x) for a in 10.0 ** np.arange(-8, 9, 4) for x in (1e-4, 1e-3, 1e-2, 1, 1e2, 1e4)]
+    + [(rs, TAU_R, 15e-9) for rs in (1e11, 3e11)],
 )
 def test_conditional_mean_matches_mpmath_oracle(r_star, tau_r, tau_p1):
     pytest.importorskip("mpmath")
     exact = helpers.mp_conditional_mean(r_star, tau_r, tau_p1)
     pp = ParalyzingParams(tau_p1=tau_p1)
     assert mean_conditional_on_time(pp, r_star, tau_r) == pytest.approx(exact, rel=1e-13)
+
+
+def test_window_end_needs_no_solver(monkeypatch):
+    # H(tau_p1) ~ 96: the window is cut at a closed-form bound, not a hazard inverse
+    def solver(g):
+        raise AssertionError("the paralyzing mean called the hazard inverse")
+
+    monkeypatch.setattr(er, "_inverse_hazard", solver)
+    assert paralyzing_mean_on_time(PP, 1e11, TAU_R) > er.er_mean_on_time(1e11, TAU_R)
+
+
+@pytest.mark.parametrize("tau_p2", [27e-9, 0.0])
+def test_full_paralysis_mean_raises(tau_p2):
+    # H(tau_p1) ~ 8.9e3: e^H overflows, so the mean is infinite, with no overflow warning
+    pp = ParalyzingParams(tau_p1=1e-6, tau_p2=tau_p2)
+    with pytest.raises(ValueError, match=r"H\(tau_p1\) = 8875.*full paralysis"):
+        paralyzing_mean_on_time(pp, 1e10, TAU_R)
 
 
 def test_conditional_mean_below_window():

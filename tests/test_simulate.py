@@ -242,6 +242,20 @@ def test_unreachable_paralyzing_configuration_raises(paper_params, stop):
         simulate.simulate(config)
 
 
+@pytest.mark.parametrize("stop", [{"n_events": 10}, {"duration": 1e-3}])
+@pytest.mark.parametrize("tau_p2", [27e-9, 0.0])
+def test_fully_paralysed_configuration_raises(paper_params, stop, tau_p2):
+    # H(tau_p1) ~ 8.5e3: e^H overflows a float, which raises no overflow warning
+    config = simulate.SimConfig(
+        er=paper_params,
+        source=er.SourceParams(photon_rate=5e10),
+        paralyzing=ParalyzingParams(tau_p1=1e-6, tau_p2=tau_p2),
+        **stop,
+    )
+    with pytest.raises(ValueError, match="inf paralyzations expected per detection"):
+        simulate.simulate(config)
+
+
 def test_duration_stop(paper_params):
     duration = 0.5
     config = simulate.SimConfig(
