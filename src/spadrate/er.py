@@ -143,42 +143,57 @@ def _x_plus_expm1(x):
     return out
 
 
-# Values per Newton pass of _inverse_hazard: 2^13 was faster than both 2^12
+# Values per pass of _inverse_hazard: 2^13 was faster than both 2^12
 # and a whole sampler block of 2^14 on a 2-vCPU x86 VM.
 _CHUNK = 1 << 13
+# x + expm1(-x) = g inverts as x = s + s^2 R(s), s = sqrt(2g): R's coefficients,
+# highest first, are those of s^10 down to s^2 in the exact reversion of the
+# Taylor series; the first term left out is < 7e-18 of x below _G_SERIES.
+_REVERSION = (281 / 1515591000, -571 / 2351462400, -1 / 204120, -139 / 5443200,
+              -1 / 17010, 1 / 4320, 1 / 270, 1 / 36, 1 / 6)
 
 
 def _inverse_hazard(g: np.ndarray) -> np.ndarray:
-    """The x >= 0 with x + expm1(-x) = g, by three Newton steps.
+    """The x >= 0 with x + expm1(-x) = g, by :func:`_reversion` or :func:`_newton`.
 
-    Starts from the small-g series s + s^2/6 + s^3/72 (s = sqrt(2g)) below
-    g = 2 and from g + 1 above.  Where the root is below x = 0.1 the left
-    side is the ten-term series :func:`_series`; g = 0 gives 0.  Each
-    regime of each chunk of ``_CHUNK`` values is iterated as one compact
-    array, and every value gets the same operations as when inverted alone.
+    The reversion series takes g below ``_G_SERIES``, Newton the rest.  Each
+    regime of each chunk of ``_CHUNK`` values is one compact array, and every
+    value gets the same operations as when inverted alone.
     """
     x = np.empty_like(g)
     for start in range(0, g.size, _CHUNK):
         gc, xc = g[start:start + _CHUNK], x[start:start + _CHUNK]
         series = gc < _G_SERIES
         if series.all() or not series.any():
-            xc[:] = _newton(gc, series[0])
+            xc[:] = (_reversion if series[0] else _newton)(gc)
         else:
-            xc[series] = _newton(gc[series], True)
-            xc[~series] = _newton(gc[~series], False)
+            xc[series] = _reversion(gc[series])
+            xc[~series] = _newton(gc[~series])
     return x
 
 
-def _newton(g: np.ndarray, series: bool) -> np.ndarray:
-    """``_inverse_hazard`` on values of one regime: all below ``_G_SERIES`` or none."""
+def _reversion(g: np.ndarray) -> np.ndarray:
+    """The root below ``_G_SERIES`` (x < 0.1), s + s^2 R(s) with s = sqrt(2g), to 1 ulp."""
+    s = np.sqrt(2.0 * g)
+    y = s * _REVERSION[0] + _REVERSION[1]
+    for c in _REVERSION[2:]:
+        y *= s
+        y += c
+    y *= s
+    y *= s
+    y += s
+    return y
+
+
+def _newton(g: np.ndarray) -> np.ndarray:
+    """The root from ``_G_SERIES`` up (x >= 0.1), by three Newton steps from a closed-form start."""
     x = g + 1.0
     small = g < 2.0
     s = np.sqrt(2.0 * g[small])
     x[small] = s * (1.0 + s * (1.0 / 6.0 + s / 72.0))
     for _ in range(3):
         m = np.expm1(-x)
-        f = _series(x) if series else x + m
-        x -= (f - g) / np.maximum(-m, np.finfo(float).tiny)  # 0/0 at g = 0
+        x -= (x + m - g) / -m
     return x
 
 

@@ -2,8 +2,9 @@
 
 Detector-on times are drawn exactly by inverting the integrated hazard
 H(t) = r_star * tau_r * (x + expm1(-x)), x = t / tau_r, at a unit
-exponential: x + expm1(-x) = E / (r_star * tau_r) is solved by a fixed
-three Newton steps, accurate to a few ulp at every rate.
+exponential: x + expm1(-x) = E / (r_star * tau_r) is solved by its
+reversion series below x = 0.1 and by a fixed three Newton steps above,
+accurate to a few ulp at every rate.
 
 With paralyzing dynamics enabled, an avalanche earlier than tau_p1 after
 recovery start produces no timestamp: it adds its own delay plus tau_p2
@@ -54,8 +55,8 @@ _SAMPLER = "inverse-hazard"
 # The CSV writer formats timestamps in blocks of the same size; the reader
 # parses the lines of each ``_READ`` bytes it reads instead.
 _BLOCK = 1 << 14
-# Paralysed segments one call may draw: ~1.5 minutes at ~0.07-0.10 us per
-# draw on a 2-vCPU x86 VM.
+# Paralysed segments one call may draw: ~30 s at ~0.03 us per draw on a
+# 2-vCPU x86 VM.
 _MAX_PARALYZED_DRAWS = 1e9
 _BINARY_MAGIC = b"SPTS"
 _BINARY_VERSION = 1
@@ -180,8 +181,9 @@ def simulate(config: SimConfig) -> TimestampSeries:
                 "cannot reach the target event count: a priori rate is zero"
             )
         on = _sample_on_times(rng, config.n_events, r_star, tau_r, config.paralyzing)
-        times = np.cumsum(on + tau_d)
-        return TimestampSeries(times=times, metadata=metadata)
+        on += tau_d
+        np.cumsum(on, out=on)
+        return TimestampSeries(times=on, metadata=metadata)
 
     # Duration stop: draw in chunks until the clock passes the target.
     if r_star <= 0:

@@ -127,24 +127,19 @@ def test_inverse_hazard_matches_mpmath():
 
 
 def _inverse_hazard_reference(g):
-    """Three Newton steps over the whole array, the series by np.polyval."""
+    """Three Newton steps on x + expm1(-x) over the whole array, for g >= _G_SERIES."""
     x = g + 1.0
     small = np.flatnonzero(g < 2.0)
     s = np.sqrt(2.0 * g[small])
     x[small] = s * (1.0 + s * (1.0 / 6.0 + s / 72.0))
-    low = np.flatnonzero(g < simulate._G_SERIES)
     for _ in range(3):
-        f = x + np.expm1(-x)
-        xl = x[low]
-        f[low] = xl * xl * np.polyval(er._SERIES, xl)
-        slope = np.maximum(-np.expm1(-x), np.finfo(float).tiny)
-        x -= (f - g) / slope
+        x -= (x + np.expm1(-x) - g) / -np.expm1(-x)
     return x
 
 
 def test_inverse_hazard_regimes_invert_as_if_alone():
     # g = 0, the series regime, the direct regime from the small-g start and
-    # from g + 1, shuffled over more than two chunks of the Newton loop
+    # from g + 1, shuffled over more than two chunks of _inverse_hazard
     rng = np.random.default_rng(11)
     pool = np.concatenate([
         [0.0, simulate._G_SERIES, np.nextafter(simulate._G_SERIES, 0.0), 2.0, 1e-300],
@@ -156,11 +151,58 @@ def test_inverse_hazard_regimes_invert_as_if_alone():
     pick = rng.permutation(np.resize(np.arange(pool.size), 2 * simulate._CHUNK + 7))
     x = simulate._inverse_hazard(pool[pick])
     np.testing.assert_array_equal(x.view(np.int64), alone[pick].view(np.int64))
-    np.testing.assert_array_equal(x.view(np.int64),
-                                  _inverse_hazard_reference(pool[pick]).view(np.int64))
+    # below _G_SERIES the root is er._reversion, which test_reversion_matches_mpmath
+    # checks; from _G_SERIES up it is three Newton steps
     wide = np.concatenate([[0.0], np.logspace(-300, 300, 6001)])
-    np.testing.assert_array_equal(simulate._inverse_hazard(wide).view(np.int64),
-                                  _inverse_hazard_reference(wide).view(np.int64))
+    for g in (pool[pick], wide):
+        x = simulate._inverse_hazard(g)
+        low = g < simulate._G_SERIES
+        np.testing.assert_array_equal(x[low].view(np.int64), er._reversion(g[low]).view(np.int64))
+        np.testing.assert_array_equal(x[~low].view(np.int64),
+                                      _inverse_hazard_reference(g[~low]).view(np.int64))
+
+
+def _reversion_coefficients(n):
+    """[s^k] x, k < n, of the root x(s) of x + expm1(-x) = s^2 / 2, as exact fractions.
+
+    x = s phi(x) with phi = q^(-1/2) and q(x) = 2 (x + expm1(-x)) / x^2
+    = sum_j 2 (-x)^j / (j + 2)!, so Lagrange inversion gives
+    [s^k] x = [x^(k-1)] phi^k / k.
+    """
+    q = [Fraction(2 * (-1) ** j, math.factorial(j + 2)) for j in range(n)]
+    phi = [Fraction(1)]
+    for k in range(1, n):  # phi = q^(-1/2) from q phi' = -q' phi / 2
+        phi.append(sum((Fraction(j, 2) - k) * q[j] * phi[k - j] for j in range(1, k + 1)) / k)
+    coefficients, power = [Fraction(0)], [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for k in range(1, n):  # power = phi^k
+        power = [sum(power[i] * phi[m - i] for i in range(m + 1)) for m in range(n)]
+        coefficients.append(power[k - 1] / k)
+    return coefficients
+
+
+def test_reversion_coefficients_are_the_exact_reversion():
+    exact = _reversion_coefficients(11)
+    assert exact[:4] == [0, 1, Fraction(1, 6), Fraction(1, 36)]
+    assert er._REVERSION == tuple(float(c) for c in exact[:1:-1])
+
+
+def test_reversion_matches_mpmath():
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(37)
+    g = np.append(np.exp(rng.uniform(np.log(1e-14), np.log(simulate._G_SERIES), 2000)),
+                  np.nextafter(simulate._G_SERIES, 0.0))
+    g = g[(g >= 1e-14) & (g < simulate._G_SERIES)]
+    assert g.size >= 2000
+    oracle = np.array([helpers.mp_inverse_hazard(v, dps=60) for v in g])
+    np.testing.assert_allclose(er._reversion(g), oracle, rtol=2.3e-16, atol=0)
+
+
+def test_reversion_at_zero_and_tiny_g():
+    # RuntimeWarnings are errors under the test configuration
+    assert er._reversion(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    g = np.concatenate([[5e-324, 1e-320, np.finfo(float).tiny],
+                        np.logspace(-300, -40, 261), [1e-40]])
+    np.testing.assert_array_equal(er._reversion(g), np.sqrt(2.0 * g))
 
 
 def test_distribution_matches_model_ks(paper_params):
