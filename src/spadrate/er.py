@@ -143,9 +143,6 @@ def _x_plus_expm1(x):
     return out
 
 
-# Values per pass of _inverse_hazard: 2^13 was faster than both 2^12
-# and a whole sampler block of 2^14 on a 2-vCPU x86 VM.
-_CHUNK = 1 << 13
 # x + expm1(-x) = g inverts as x = s + s^2 R(s), s = sqrt(2g): R's coefficients,
 # highest first, are those of s^10 down to s^2 in the exact reversion of the
 # Taylor series; the first term left out is < 7e-18 of x below _G_SERIES.
@@ -157,29 +154,26 @@ def _inverse_hazard(g: np.ndarray) -> np.ndarray:
     """The x >= 0 with x + expm1(-x) = g, by :func:`_reversion` or :func:`_newton`.
 
     The reversion series takes g below ``_G_SERIES``, Newton the rest.  Each
-    regime of each chunk of ``_CHUNK`` values is one compact array, and every
-    value gets the same operations as when inverted alone.
+    regime is one compact array, so every value gets the same operations as
+    when inverted alone; the sampler passes one block of its draws at a time.
     """
     x = np.empty_like(g)
-    for start in range(0, g.size, _CHUNK):
-        gc, xc = g[start:start + _CHUNK], x[start:start + _CHUNK]
-        series = gc < _G_SERIES
-        if series.all() or not series.any():
-            xc[:] = (_reversion if series[0] else _newton)(gc)
-        else:
-            xc[series] = _reversion(gc[series])
-            xc[~series] = _newton(gc[~series])
+    series = g < _G_SERIES
+    x[series] = _reversion(g[series])
+    x[~series] = _newton(g[~series])
     return x
 
 
 def _reversion(g: np.ndarray) -> np.ndarray:
     """The root below ``_G_SERIES`` (x < 0.1), s + s^2 R(s) with s = sqrt(2g), to 1 ulp."""
-    s = np.sqrt(2.0 * g)
-    y = s * _REVERSION[0] + _REVERSION[1]
-    for c in _REVERSION[2:]:
-        y *= s
+    # in place: with one more 128 KiB temporary per sampler block, glibc's heap
+    # shrank and refaulted every block (~50k page faults at 6e9 /s, 30,000 events)
+    s = 2.0 * g
+    np.sqrt(s, out=s)
+    y = s * _REVERSION[0]
+    for c in _REVERSION[1:]:
         y += c
-    y *= s
+        y *= s
     y *= s
     y += s
     return y

@@ -31,9 +31,9 @@ from typing import Any
 
 import numpy as np
 
-# _CHUNK and _G_SERIES set the regimes of _inverse_hazard; its tests read them here
-from .er import (_CHUNK, _G_SERIES, ErParams, SourceParams, _inverse_hazard,
-                 _rate_product, er_cumulative_hazard, er_mean_on_time)
+# _G_SERIES splits _inverse_hazard's regimes; its tests read it here
+from .er import (_G_SERIES, ErParams, SourceParams, _inverse_hazard, _rate_product,
+                 er_cumulative_hazard, er_mean_on_time)
 from .exceptions import DegenerateDataError
 from .paralyzing import ParalyzingParams
 
@@ -55,8 +55,8 @@ _SAMPLER = "inverse-hazard"
 # The CSV writer formats timestamps in blocks of the same size; the reader
 # parses the lines of each ``_READ`` bytes it reads instead.
 _BLOCK = 1 << 14
-# Paralysed segments one call may draw: ~30 s at ~0.03 us per draw on a
-# 2-vCPU x86 VM.
+# Paralysed segments one call may draw: ~30 s at 0.026-0.035 us per draw
+# (30,000 events at 6e9 /s) on a 2-vCPU x86 VM.
 _MAX_PARALYZED_DRAWS = 1e9
 _BINARY_MAGIC = b"SPTS"
 _BINARY_VERSION = 1
@@ -141,7 +141,7 @@ def _sample_on_times(
             )
         count = rng.geometric(np.exp(-h1), n) - 1
         ends = np.cumsum(count)
-        out = count * paralyzing.tau_p2
+        np.multiply(count, paralyzing.tau_p2, out=out)
         p = -np.expm1(-h1)
         for start in range(0, int(ends[-1]), _BLOCK):
             stop = min(start + _BLOCK, int(ends[-1]))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import struct
@@ -139,7 +140,7 @@ def _inverse_hazard_reference(g):
 
 def test_inverse_hazard_regimes_invert_as_if_alone():
     # g = 0, the series regime, the direct regime from the small-g start and
-    # from g + 1, shuffled over more than two chunks of _inverse_hazard
+    # from g + 1, shuffled over more than two sampler blocks
     rng = np.random.default_rng(11)
     pool = np.concatenate([
         [0.0, simulate._G_SERIES, np.nextafter(simulate._G_SERIES, 0.0), 2.0, 1e-300],
@@ -148,7 +149,7 @@ def test_inverse_hazard_regimes_invert_as_if_alone():
         2.0 + rng.exponential(10.0, 100),
     ])
     alone = np.array([simulate._inverse_hazard(pool[i:i + 1])[0] for i in range(pool.size)])
-    pick = rng.permutation(np.resize(np.arange(pool.size), 2 * simulate._CHUNK + 7))
+    pick = rng.permutation(np.resize(np.arange(pool.size), 2 * simulate._BLOCK + 7))
     x = simulate._inverse_hazard(pool[pick])
     np.testing.assert_array_equal(x.view(np.int64), alone[pick].view(np.int64))
     # below _G_SERIES the root is er._reversion, which test_reversion_matches_mpmath
@@ -160,6 +161,43 @@ def test_inverse_hazard_regimes_invert_as_if_alone():
         np.testing.assert_array_equal(x[low].view(np.int64), er._reversion(g[low]).view(np.int64))
         np.testing.assert_array_equal(x[~low].view(np.int64),
                                       _inverse_hazard_reference(g[~low]).view(np.int64))
+
+
+# sha256 of the timestamps of 5,000 events at seed 0: non-paralysing streams
+# at r_star*tau_r = 10^k, whose on-times invert by Newton from g + 1 (k < 0)
+# to the reversion series (k > 0), and the ten blinding-ladder rungs, whose
+# paralysed segments mostly take the series
+_SAMPLER_DIGESTS = {
+    "rt 1e-6": "947563ac29803f9a4b337b3037d68b6aaa06cc55b14a2871e63a22cf9306dc02",
+    "rt 1e-4": "195a6c7e8a2ec0264e531a971d45ace04734fcc1af46efd3fd63561c7c7f5126",
+    "rt 1e-2": "2f828067ed7ae7a7983546d7a256143d5c5b09c3a7373ed5b7886a22bea70263",
+    "rt 1e0": "1173d55fef7856c30b9c12e47af2b4dfd184dcf89325e5b22863facca0df4058",
+    "rt 1e2": "ff6ef348d6cfbe272d6cd3ce5e91c4aba55c468f16f4fa903dae924e5c880c73",
+    "rt 1e4": "2872fe3c6dbd62a9e21a159df4f6443f912d949caec6a17f51a7f83b84c5195f",
+    "rt 1e6": "c2bcefc541f3f4f95f9785f14889449c3d1ffe98c2cc2bcc84a51359a3590c4f",
+    "rung 0": "86ffebb60be1a92e9ed401229a5add0e1e271847c8451fed24bc543c057aa6d3",
+    "rung 1": "121f45523c372afe4577f8acd405aaa2e31732cb6150543e02962498f8b973bf",
+    "rung 2": "95ec48a30e08f8403e366ee61558bf55137ec4c8673451552be87c93c6f2eeeb",
+    "rung 3": "c34c2281cb838d1e070bcbf4baa5e7f0f892a7372ceda63eb836a46bc41a0ff7",
+    "rung 4": "3e6a2ef49c51310f28767cc9506e1b76a3ddb1c962badd22bc599501b625bd95",
+    "rung 5": "c87f701b07d237ab10827a0f81be78c01f8ee57ea9c5d8edd53586e28d18103d",
+    "rung 6": "7880a0a6cda745d6c3ce2333660e17fcff224f64d72403ad948fb69980b7b378",
+    "rung 7": "6b4fe8a2d8ea62b236bc46027c7a012a98e7e9ad8dff952253438a3b483c3a59",
+    "rung 8": "ec30339fa35179f78e8b903511f760bd1febb3971d5c623459ba6ec9a7f88be7",
+    "rung 9": "96acbcfeb56d0e63b522fc80469f834f172f1597d7ceb92a99106380c9ca4712",
+}
+
+
+def test_sampler_golden_bytes_in_both_regimes(paper_params):
+    configs = {f"rt 1e{k}": _config(paper_params, 10.0 ** k / paper_params.tau_r, n_events=5000)
+               for k in range(-6, 7, 2)}
+    blind = er.ErParams(eta0=paper_params.eta0, tau_d=1e-6, tau_r=paper_params.tau_r)
+    paralyzing = ParalyzingParams(tau_p1=15e-9, tau_p2=27e-9)
+    configs.update({f"rung {i}": _config(blind, rs, n_events=5000, paralyzing=paralyzing)
+                    for i, rs in enumerate(np.logspace(8, np.log10(6e9), 10))})
+    got = {name: hashlib.sha256(simulate.simulate(c).times.tobytes()).hexdigest()
+           for name, c in configs.items()}
+    assert got == _SAMPLER_DIGESTS
 
 
 def _reversion_coefficients(n):
