@@ -153,14 +153,24 @@ _REVERSION = (281 / 1515591000, -571 / 2351462400, -1 / 204120, -139 / 5443200,
 def _inverse_hazard(g: np.ndarray) -> np.ndarray:
     """The x >= 0 with x + expm1(-x) = g, by :func:`_reversion` or :func:`_newton`.
 
-    The reversion series takes g below ``_G_SERIES``, Newton the rest.  Each
-    regime is one compact array, so every value gets the same operations as
-    when inverted alone; the sampler passes one block of its draws at a time.
+    The reversion series takes g below ``_G_SERIES``, Newton the rest.  One
+    regime runs over the whole array, its input clamped to its own side of
+    ``_G_SERIES`` (unclamped, the series overflows near g = 1e300 and Newton
+    divides 0 by 0 at g = 0); the other then overwrites its own values,
+    gathered by index.  A Newton value costs ~3x a series value, so the
+    series goes first unless at most a quarter of the array is below
+    ``_G_SERIES``.  Every value gets the same operations as when inverted
+    alone; the sampler passes one block of its draws at a time.
     """
-    x = np.empty_like(g)
     series = g < _G_SERIES
-    x[series] = _reversion(g[series])
-    x[~series] = _newton(g[~series])
+    if 4 * np.count_nonzero(series) > g.size:
+        x = _reversion(np.minimum(g, _G_SERIES))
+        rest = np.flatnonzero(~series)
+        x[rest] = _newton(g[rest])
+    else:
+        x = _newton(np.maximum(g, _G_SERIES))
+        rest = np.flatnonzero(series)
+        x[rest] = _reversion(g[rest])
     return x
 
 

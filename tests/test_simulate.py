@@ -139,28 +139,49 @@ def _inverse_hazard_reference(g):
 
 
 def test_inverse_hazard_regimes_invert_as_if_alone():
-    # g = 0, the series regime, the direct regime from the small-g start and
-    # from g + 1, shuffled over more than two sampler blocks
+    # g = 0 and subnormal, the series regime, the direct regime from the small-g
+    # start, from g + 1 and up to 1e300, shuffled over more than two sampler
+    # blocks; the share of series values runs from a majority through a third
+    # (the series still goes first) to the quarter and less at which Newton
+    # goes first, and all of one regime
     rng = np.random.default_rng(11)
-    pool = np.concatenate([
-        [0.0, simulate._G_SERIES, np.nextafter(simulate._G_SERIES, 0.0), 2.0, 1e-300],
-        rng.uniform(0.0, simulate._G_SERIES, 100),
-        rng.uniform(simulate._G_SERIES, 2.0, 100),
-        2.0 + rng.exponential(10.0, 100),
-    ])
-    alone = np.array([simulate._inverse_hazard(pool[i:i + 1])[0] for i in range(pool.size)])
-    pick = rng.permutation(np.resize(np.arange(pool.size), 2 * simulate._BLOCK + 7))
-    x = simulate._inverse_hazard(pool[pick])
-    np.testing.assert_array_equal(x.view(np.int64), alone[pick].view(np.int64))
+    below = np.concatenate([[0.0, 5e-324, 1e-300, np.nextafter(simulate._G_SERIES, 0.0)],
+                            rng.uniform(0.0, simulate._G_SERIES, 196)])
+    above = np.concatenate([[simulate._G_SERIES, 2.0, 1e300],
+                            rng.uniform(simulate._G_SERIES, 2.0, 98),
+                            2.0 + rng.exponential(10.0, 99)])
+    wide = np.concatenate([[0.0], np.logspace(-300, 300, 6001)])
+    mixed = [wide]
+    for n_below, n_above in [(200, 100), (100, 200), (50, 150), (20, 180), (200, 0), (0, 200)]:
+        pool = np.concatenate([below[:n_below], above[:n_above]])
+        pick = rng.permutation(np.tile(np.arange(pool.size), 2 * simulate._BLOCK // pool.size + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            alone = np.array([simulate._inverse_hazard(pool[i:i + 1])[0] for i in range(pool.size)])
+            x = simulate._inverse_hazard(pool[pick])
+        np.testing.assert_array_equal(x.view(np.int64), alone[pick].view(np.int64))
+        mixed.append(pool[pick])
     # below _G_SERIES the root is er._reversion, which test_reversion_matches_mpmath
     # checks; from _G_SERIES up it is three Newton steps
-    wide = np.concatenate([[0.0], np.logspace(-300, 300, 6001)])
-    for g in (pool[pick], wide):
+    for g in mixed:
         x = simulate._inverse_hazard(g)
         low = g < simulate._G_SERIES
         np.testing.assert_array_equal(x[low].view(np.int64), er._reversion(g[low]).view(np.int64))
         np.testing.assert_array_equal(x[~low].view(np.int64),
                                       _inverse_hazard_reference(g[~low]).view(np.int64))
+    # g = inf has no finite root: Newton alone gives nan with an invalid warning
+    # (inf - inf); with the series first or Newton first, the same bits and warnings
+    for g in (np.append(wide, np.inf), np.append(wide[wide >= 1.0], np.inf)):
+        low = g < simulate._G_SERIES
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            want = er._newton(g[~low])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = simulate._inverse_hazard(g)
+        np.testing.assert_array_equal(x[~low].view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(x[low].view(np.int64), er._reversion(g[low]).view(np.int64))
+        assert [str(w.message) for w in caught] == [str(w.message) for w in alone]
 
 
 # sha256 of the timestamps of 5,000 events at seed 0: non-paralysing streams
@@ -198,6 +219,30 @@ def test_sampler_golden_bytes_in_both_regimes(paper_params):
     got = {name: hashlib.sha256(simulate.simulate(c).times.tobytes()).hexdigest()
            for name, c in configs.items()}
     assert got == _SAMPLER_DIGESTS
+
+
+# sha256 of paralysing streams at seed 0 with tau_p1 = tau_r: the paralysed
+# hazards reach H(tau_r) / (r_star tau_r) = e^-1, so ~95-99% of every
+# paralysed block takes Newton; 5,000 events at r_star*tau_r = 0.1, 1 and 10,
+# and a duration stop of 0.2 s at 10
+_NEWTON_PARALYSED_DIGESTS = {
+    "rt 0.1": "15d729a9ff8b17f70722dff8e694eb8e45f8bc2d16f17a0d2a31ad5373d13cf8",
+    "rt 1": "f1f3c697803bb33d9b117b7054e4acfd0ba8722e01d0fc4094ca43dd330b2a7c",
+    "rt 10": "e9206a98ec9516f3dcef74452ad2b777f175d8f3f3373dd60101a06f1d155b25",
+    "duration": "6b46b44fb6f2852fb0fab48abc58c72b28e4cb1a0ae7ccb5b21034ef49cc8bc2",
+}
+
+
+def test_sampler_golden_bytes_with_newton_paralysed_blocks(paper_params):
+    paralyzing = ParalyzingParams(tau_p1=paper_params.tau_r, tau_p2=27e-9)
+    configs = {f"rt {rt:g}": _config(paper_params, rt / paper_params.tau_r, n_events=5000,
+                                     paralyzing=paralyzing)
+               for rt in (0.1, 1.0, 10.0)}
+    configs["duration"] = _config(paper_params, 10.0 / paper_params.tau_r, duration=0.2,
+                                  paralyzing=paralyzing)
+    got = {name: hashlib.sha256(simulate.simulate(c).times.tobytes()).hexdigest()
+           for name, c in configs.items()}
+    assert got == _NEWTON_PARALYSED_DIGESTS
 
 
 def _reversion_coefficients(n):
