@@ -107,8 +107,6 @@ def _one_minus_exp(x):
 
 # Taylor coefficients (-1)^j / (j + 2)! of (x + expm1(-x)) / x^2, j = 9 down to 0
 _SERIES = tuple((-1.0) ** j / math.factorial(j + 2) for j in range(9, -1, -1))
-# x + expm1(-x) at x = 0.1, where the direct form starts losing digits.
-_G_SERIES = 0.1 + np.expm1(-0.1)
 
 
 def _series(x):
@@ -141,64 +139,6 @@ def _x_plus_expm1(x):
     if small.any():
         out[small] = _series(x[small])
     return out
-
-
-# x + expm1(-x) = g inverts as x = s + s^2 R(s), s = sqrt(2g): R's coefficients,
-# highest first, are those of s^10 down to s^2 in the exact reversion of the
-# Taylor series; the first term left out is < 7e-18 of x below _G_SERIES.
-_REVERSION = (281 / 1515591000, -571 / 2351462400, -1 / 204120, -139 / 5443200,
-              -1 / 17010, 1 / 4320, 1 / 270, 1 / 36, 1 / 6)
-
-
-def _inverse_hazard(g: np.ndarray) -> np.ndarray:
-    """The x >= 0 with x + expm1(-x) = g, by :func:`_reversion` or :func:`_newton`.
-
-    The reversion series takes g below ``_G_SERIES``, Newton the rest.  One
-    regime runs over the whole array, its input clamped to its own side of
-    ``_G_SERIES`` (unclamped, the series overflows near g = 1e300 and Newton
-    divides 0 by 0 at g = 0); the other then overwrites its own values,
-    gathered by index.  A Newton value costs ~3x a series value, so the
-    series goes first unless at most a quarter of the array is below
-    ``_G_SERIES``.  Every value gets the same operations as when inverted
-    alone; the sampler passes one block of its draws at a time.
-    """
-    series = g < _G_SERIES
-    if 4 * np.count_nonzero(series) > g.size:
-        x = _reversion(np.minimum(g, _G_SERIES))
-        rest = np.flatnonzero(~series)
-        x[rest] = _newton(g[rest])
-    else:
-        x = _newton(np.maximum(g, _G_SERIES))
-        rest = np.flatnonzero(series)
-        x[rest] = _reversion(g[rest])
-    return x
-
-
-def _reversion(g: np.ndarray) -> np.ndarray:
-    """The root below ``_G_SERIES`` (x < 0.1), s + s^2 R(s) with s = sqrt(2g), to 1 ulp."""
-    # in place: with one more 128 KiB temporary per sampler block, glibc's heap
-    # shrank and refaulted every block (~50k page faults at 6e9 /s, 30,000 events)
-    s = 2.0 * g
-    np.sqrt(s, out=s)
-    y = s * _REVERSION[0]
-    for c in _REVERSION[1:]:
-        y += c
-        y *= s
-    y *= s
-    y += s
-    return y
-
-
-def _newton(g: np.ndarray) -> np.ndarray:
-    """The root from ``_G_SERIES`` up (x >= 0.1), by three Newton steps from a closed-form start."""
-    x = g + 1.0
-    small = g < 2.0
-    s = np.sqrt(2.0 * g[small])
-    x[small] = s * (1.0 + s * (1.0 / 6.0 + s / 72.0))
-    for _ in range(3):
-        m = np.expm1(-x)
-        x -= (x + m - g) / -m
-    return x
 
 
 def _check_times(t):

@@ -31,9 +31,8 @@ from typing import Any
 
 import numpy as np
 
-# _G_SERIES splits _inverse_hazard's regimes; its tests read it here
-from .er import (_G_SERIES, ErParams, SourceParams, _inverse_hazard, _rate_product,
-                 er_cumulative_hazard, er_mean_on_time)
+from .er import (ErParams, SourceParams, _rate_product, er_cumulative_hazard,
+                 er_mean_on_time)
 from .exceptions import DegenerateDataError
 from .paralyzing import ParalyzingParams
 
@@ -98,7 +97,7 @@ class TimestampSeries:
         object.__setattr__(self, "times", times)
         if times.ndim != 1:
             raise ValueError("times must be one-dimensional")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("timestamps must be strictly increasing")
 
 
@@ -115,6 +114,66 @@ def _mean_on_time(r_star: float, tau_r: float, paralyzing: ParalyzingParams) -> 
     return scale * er_mean_on_time(r_star, tau_r) + count * paralyzing.tau_p2
 
 
+# x + expm1(-x) at x = 0.1, where the direct form starts losing digits.
+_G_SERIES = 0.1 + np.expm1(-0.1)
+# x + expm1(-x) = g inverts as x = s + s^2 R(s), s = sqrt(2g): R's coefficients,
+# highest first, are those of s^10 down to s^2 in the exact reversion of the
+# Taylor series; the first term left out is < 7e-18 of x below _G_SERIES.
+_REVERSION = (281 / 1515591000, -571 / 2351462400, -1 / 204120, -139 / 5443200,
+              -1 / 17010, 1 / 4320, 1 / 270, 1 / 36, 1 / 6)
+
+
+def _inverse_hazard(g: np.ndarray) -> np.ndarray:
+    """The x >= 0 with x + expm1(-x) = g, by :func:`_reversion` or :func:`_newton`.
+
+    The reversion series takes g below ``_G_SERIES``, Newton the rest.  One
+    regime runs over the whole array, its input clamped to its own side of
+    ``_G_SERIES`` (unclamped, the series overflows near g = 1e300 and Newton
+    divides 0 by 0 at g = 0); the other then overwrites its own values,
+    gathered by index.  A Newton value costs ~3x a series value, so the
+    series goes first unless at most a quarter of the array is below
+    ``_G_SERIES``.  Every value gets the same operations as when inverted
+    alone; the sampler passes one block of its draws at a time.
+    """
+    series = g < _G_SERIES
+    if 4 * np.count_nonzero(series) > g.size:
+        x = _reversion(np.minimum(g, _G_SERIES))
+        rest = np.flatnonzero(~series)
+        x[rest] = _newton(g[rest])
+    else:
+        x = _newton(np.maximum(g, _G_SERIES))
+        rest = np.flatnonzero(series)
+        x[rest] = _reversion(g[rest])
+    return x
+
+
+def _reversion(g: np.ndarray) -> np.ndarray:
+    """The root below ``_G_SERIES`` (x < 0.1), s + s^2 R(s) with s = sqrt(2g), to 1 ulp."""
+    # in place: with one more 128 KiB temporary per sampler block, glibc's heap
+    # shrank and refaulted every block (~50k page faults at 6e9 /s, 30,000 events)
+    s = 2.0 * g
+    np.sqrt(s, out=s)
+    y = s * _REVERSION[0]
+    for c in _REVERSION[1:]:
+        y += c
+        y *= s
+    y *= s
+    y += s
+    return y
+
+
+def _newton(g: np.ndarray) -> np.ndarray:
+    """The root from ``_G_SERIES`` up (x >= 0.1), by three Newton steps from a closed-form start."""
+    x = g + 1.0
+    small = g < 2.0
+    s = np.sqrt(2.0 * g[small])
+    x[small] = s * (1.0 + s * (1.0 / 6.0 + s / 72.0))
+    for _ in range(3):
+        m = np.expm1(-x)
+        x -= (x + m - g) / -m
+    return x
+
+
 def _sample_on_times(
     rng: np.random.Generator,
     n: int,
@@ -129,16 +188,21 @@ def _sample_on_times(
     """
     a = _rate_product(r_star, tau_r)
     h1 = er_cumulative_hazard(paralyzing.tau_p1, r_star, tau_r)
+    with np.errstate(over="ignore"):
+        per_detection = np.expm1(h1)
+    if n * per_detection > _MAX_PARALYZED_DRAWS:
+        raise ValueError(
+            f"paralyzing configuration out of reach: {per_detection:.3g} paralyzations "
+            f"expected per detection, {n * per_detection:.3g} for {n} detections "
+            f"(limit {_MAX_PARALYZED_DRAWS:.0e})"
+        )
+    # (h1 + E) / a must stay finite: numpy's exponentials E <= 7.697 - log(2**-53) = 44.43
+    lowest = (h1 + 45.0) / np.finfo(float).max
+    if a < lowest:
+        raise ValueError(f"r_star*tau_r = {a:g} is too small to sample: the on-time draws "
+                         f"overflow a float below r_star*tau_r = {lowest:.3g}")
     out = np.zeros(n)
     if h1 > 0:
-        with np.errstate(over="ignore"):
-            per_detection = np.expm1(h1)
-        if n * per_detection > _MAX_PARALYZED_DRAWS:
-            raise ValueError(
-                f"paralyzing configuration out of reach: {per_detection:.3g} paralyzations "
-                f"expected per detection, {n * per_detection:.3g} for {n} detections "
-                f"(limit {_MAX_PARALYZED_DRAWS:.0e})"
-            )
         count = rng.geometric(np.exp(-h1), n) - 1
         ends = np.cumsum(count)
         np.multiply(count, paralyzing.tau_p2, out=out)
@@ -571,5 +635,4 @@ def read_timestamps_binary(path) -> np.ndarray:
         # checked before reading: the header's count may ask for any size up to 2**67 bytes
         if 8 * count > os.fstat(fh.fileno()).st_size - _HEADER.size:
             raise DegenerateDataError(f"{path}: truncated payload")
-        payload = fh.read(8 * count)
-    return np.frombuffer(payload, dtype="<f8").astype(float)
+        return np.fromfile(fh, dtype="<f8", count=count).astype(float, copy=False)

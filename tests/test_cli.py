@@ -745,6 +745,19 @@ def test_rate_product_outside_normal_range_is_usage_error(runner, tmp_path, args
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stop", [["--events", "10"], ["--duration", "1"]],
+                         ids=["events", "duration"])
+def test_simulate_rate_product_too_small_to_sample_is_usage_error(runner, tmp_path, stop):
+    # r_star*tau_r ~ 2.9e-308 is a normal double the sampler cannot divide a draw by
+    out = tmp_path / "ts.bin"
+    result = runner.invoke(cli, ["simulate", "--ri", "1e-300", "--tau-r", "1.5e-7", *stop,
+                                 "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "r_star*tau_r = 2.86755e-308 is too small to sample" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", ["simple", "high"])
 def test_tabulate_at_subnormal_rate_is_usage_error(runner, tmp_path, model):
     # the mean 1/r_star overflows; a row of inf and a measured rate of 0 is no answer

@@ -156,7 +156,7 @@ def test_window_end_needs_no_solver(monkeypatch):
     def solver(g):
         raise AssertionError("the paralyzing mean called the hazard inverse")
 
-    monkeypatch.setattr(er, "_inverse_hazard", solver)
+    monkeypatch.setattr(simulate, "_inverse_hazard", solver)
     assert paralyzing_mean_on_time(PP, 1e11, TAU_R) > er.er_mean_on_time(1e11, TAU_R)
 
 

@@ -161,12 +161,13 @@ def test_inverse_hazard_regimes_invert_as_if_alone():
             x = simulate._inverse_hazard(pool[pick])
         np.testing.assert_array_equal(x.view(np.int64), alone[pick].view(np.int64))
         mixed.append(pool[pick])
-    # below _G_SERIES the root is er._reversion, which test_reversion_matches_mpmath
-    # checks; from _G_SERIES up it is three Newton steps
+    # below _G_SERIES the root is simulate._reversion, which
+    # test_reversion_matches_mpmath checks; from _G_SERIES up it is three Newton steps
     for g in mixed:
         x = simulate._inverse_hazard(g)
         low = g < simulate._G_SERIES
-        np.testing.assert_array_equal(x[low].view(np.int64), er._reversion(g[low]).view(np.int64))
+        np.testing.assert_array_equal(x[low].view(np.int64),
+                                      simulate._reversion(g[low]).view(np.int64))
         np.testing.assert_array_equal(x[~low].view(np.int64),
                                       _inverse_hazard_reference(g[~low]).view(np.int64))
     # g = inf has no finite root: Newton alone gives nan with an invalid warning
@@ -175,12 +176,13 @@ def test_inverse_hazard_regimes_invert_as_if_alone():
         low = g < simulate._G_SERIES
         with warnings.catch_warnings(record=True) as alone:
             warnings.simplefilter("always")
-            want = er._newton(g[~low])
+            want = simulate._newton(g[~low])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             x = simulate._inverse_hazard(g)
         np.testing.assert_array_equal(x[~low].view(np.int64), want.view(np.int64))
-        np.testing.assert_array_equal(x[low].view(np.int64), er._reversion(g[low]).view(np.int64))
+        np.testing.assert_array_equal(x[low].view(np.int64),
+                                      simulate._reversion(g[low]).view(np.int64))
         assert [str(w.message) for w in caught] == [str(w.message) for w in alone]
 
 
@@ -266,7 +268,7 @@ def _reversion_coefficients(n):
 def test_reversion_coefficients_are_the_exact_reversion():
     exact = _reversion_coefficients(11)
     assert exact[:4] == [0, 1, Fraction(1, 6), Fraction(1, 36)]
-    assert er._REVERSION == tuple(float(c) for c in exact[:1:-1])
+    assert simulate._REVERSION == tuple(float(c) for c in exact[:1:-1])
 
 
 def test_reversion_matches_mpmath():
@@ -277,15 +279,15 @@ def test_reversion_matches_mpmath():
     g = g[(g >= 1e-14) & (g < simulate._G_SERIES)]
     assert g.size >= 2000
     oracle = np.array([helpers.mp_inverse_hazard(v, dps=60) for v in g])
-    np.testing.assert_allclose(er._reversion(g), oracle, rtol=2.3e-16, atol=0)
+    np.testing.assert_allclose(simulate._reversion(g), oracle, rtol=2.3e-16, atol=0)
 
 
 def test_reversion_at_zero_and_tiny_g():
     # RuntimeWarnings are errors under the test configuration
-    assert er._reversion(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    assert simulate._reversion(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
     g = np.concatenate([[5e-324, 1e-320, np.finfo(float).tiny],
                         np.logspace(-300, -40, 261), [1e-40]])
-    np.testing.assert_array_equal(er._reversion(g), np.sqrt(2.0 * g))
+    np.testing.assert_array_equal(simulate._reversion(g), np.sqrt(2.0 * g))
 
 
 def test_distribution_matches_model_ks(paper_params):
@@ -379,6 +381,26 @@ def test_fully_paralysed_configuration_raises(paper_params, stop, tau_p2):
     )
     with pytest.raises(ValueError, match="inf paralyzations expected per detection"):
         simulate.simulate(config)
+
+
+@pytest.mark.parametrize("stop", [{"n_events": 1000}, {"duration": 1.0}],
+                         ids=["events", "duration"])
+def test_rate_product_too_small_to_sample_raises(paper_params, stop):
+    # r_star*tau_r ~ 2.9e-308 is a normal double, but E / (r_star*tau_r)
+    # overflows a float for the unit exponentials E above ~5.2; RuntimeWarnings
+    # are errors under the test configuration
+    config = _config(paper_params, 2.9e-308 / paper_params.tau_r, **stop)
+    with pytest.raises(ValueError, match=r"r_star\*tau_r = 2.9e-308 is too small to sample"):
+        simulate.simulate(config)
+
+
+def test_tiny_sampled_rate_product_gives_increasing_stamps(paper_params):
+    # r_star*tau_r = 1e-306: the largest draw's hazard, 44.4 / 1e-306, is a finite float
+    times = simulate.simulate(_config(paper_params, 1e-306 / paper_params.tau_r,
+                                      n_events=10)).times
+    assert times.size == 10
+    assert np.all(np.isfinite(times))
+    assert np.all(np.diff(times) > 0)
 
 
 def test_duration_stop(paper_params):
@@ -602,6 +624,8 @@ def test_malformed_timestamp_file_is_degenerate_data(tmp_path, name, content):
         read(path)
 
 
-def test_series_rejects_decreasing_times():
+@pytest.mark.parametrize("times", [[1.0, 0.5], [1.0, 1.0], [1.0, np.nan]],
+                         ids=["decreasing", "equal", "nan"])
+def test_series_rejects_decreasing_times(times):
     with pytest.raises(ValueError):
-        simulate.TimestampSeries(times=np.array([1.0, 0.5]))
+        simulate.TimestampSeries(times=np.array(times))
