@@ -23,7 +23,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, er, inference, nhpp, paralyzing, simulate
+from . import __version__, er, inference, io, nhpp, paralyzing, simulate
 from .exceptions import DegenerateDataError, FitError, IntegrationError, SaturationError
 
 _OUTDIR_ENV = "SPADRATE_OUTDIR"
@@ -191,9 +191,9 @@ def cmd_simulate(**kw):
 
     out = _out_path(kw["out"], f"timestamps.{kw['fmt']}")
     if kw["fmt"] == "csv":
-        simulate.write_timestamps_csv(out, series)
+        io.write_timestamps_csv(out, series)
     else:
-        simulate.write_timestamps_binary(out, series)
+        io.write_timestamps_binary(out, series)
     click.echo(f"wrote {series.times.size} timestamps to {out}")
     _write_manifest(out, [], [str(out)], sampler=series.metadata["sampler"])
 
@@ -209,10 +209,7 @@ def cmd_simulate(**kw):
 @_handle_errors
 def cmd_hist(timestamps, bin_width, bounds, out):
     """Bin inter-detection intervals from a timestamp file."""
-    if str(timestamps).endswith(".bin"):
-        times = simulate.read_timestamps_binary(timestamps)
-    else:
-        times = simulate.read_timestamps_csv(timestamps)
+    times = io.read_timestamps(timestamps)
     if times.size == 0:
         raise DegenerateDataError(f"no timestamps in {timestamps}")
     bad = np.flatnonzero(~np.isfinite(times))
@@ -227,7 +224,7 @@ def cmd_hist(timestamps, bin_width, bounds, out):
         raise DegenerateDataError(f"{timestamps}: timestamps {what} at row {bad[0] + 2}")
     hist = inference.build_histogram(gaps, bin_width, bounds=tuple(bounds) if bounds else None)
     out = _out_path(out, "histogram.csv")
-    hist.to_csv(out)
+    io.write_histogram(out, hist)
     click.echo(f"wrote {hist.n_bins} bins ({hist.total} intervals, "
                f"{hist.overflow} overflow) to {out}")
     _write_manifest(out, [str(timestamps)], [str(out)])
@@ -266,7 +263,7 @@ def _parse_assignments(pairs, what: str) -> dict[str, float]:
 @_handle_errors
 def cmd_fit(histogram, fix, init, ri, dark, out, curve):
     """Fit the recovery model to an interval histogram."""
-    hist = inference.IntervalHistogram.from_csv(histogram)
+    hist = io.read_histogram(histogram)
     result = inference.fit_er_histogram(
         hist,
         init=_parse_assignments(init, "init") or None,
@@ -281,8 +278,8 @@ def cmd_fit(histogram, fix, init, ri, dark, out, curve):
     expected = inference.expected_counts(hist, result.r_star, result.tau_d, result.tau_r,
                                          result.scale, populated=True)
     centers = hist.origin + hist.bin_width * hist.index + 0.5 * hist.bin_width
-    inference.write_table(curve_path, "bin_center_s,count,expected_count",
-                          "{:.17g},{},{:.10g}", centers, hist.tally, expected)
+    io.write_table(curve_path, "bin_center_s,count,expected_count",
+                   "{:.17g},{},{:.10g}", centers, hist.tally, expected)
 
     click.echo(f"r_star = {result.r_star:.6e} /s")
     click.echo(f"tau_d  = {result.tau_d:.6e} s")
@@ -370,8 +367,8 @@ def cmd_tabulate(eta0, tau_d, tau_r, sweep_from, sweep_to, points, model,
             raise ValueError(f"{model} mean on-time is not finite at r_star = {r_star:g}")
     measured = [nhpp.rate_forward(mean, tau_d) for mean in means]
     out = _out_path(out, "sweep.csv")
-    inference.write_table(out, "r_star_hz,mean_on_time_s,rate_hz", "{:.10g},{:.12g},{:.12g}",
-                          grid, means, measured)
+    io.write_table(out, "r_star_hz,mean_on_time_s,rate_hz", "{:.10g},{:.12g},{:.12g}",
+                   grid, means, measured)
     click.echo(f"wrote {len(grid)} rows to {out}")
     _write_manifest(out, [], [str(out)])
 

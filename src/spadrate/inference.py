@@ -20,7 +20,6 @@ data: it is exact for empty tail bins and needs no ad hoc variance model.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +45,6 @@ MAX_ARRAY_LENGTH = np.iinfo(np.intp).max // 8
 
 # Intervals binned at a time by build_histogram: its temporaries stay ~0.5 MiB
 _HIST_BLOCK = 2**14
-
-
-_V2_KEYS = ("bin_width", "origin", "n_bins", "overflow")
-_V2_LAYOUT = ["# spadrate interval histogram v2", *(f"# {key}" for key in _V2_KEYS),
-              "bin_index,count"]
 
 
 class IntervalHistogram:
@@ -101,58 +95,6 @@ class IntervalHistogram:
     @property
     def bin_centers(self) -> np.ndarray:
         return self.bin_edges[:-1] + 0.5 * self.bin_width
-
-    def to_csv(self, path) -> None:
-        """Write file v2: exact ``repr`` header values, then one row per populated bin."""
-        meta = [f"# {key}={getattr(self, key)!r}" for key in _V2_KEYS]
-        write_table(path, "\r\n".join([_V2_LAYOUT[0], *meta, _V2_LAYOUT[-1]]), "{},{}",
-                    self.index, self.tally)
-
-    @classmethod
-    def from_csv(cls, path) -> "IntervalHistogram":
-        """Read a ``to_csv`` file, or a dense v1 file of ``bin_left_s,count`` rows.
-
-        A malformed file raises :class:`DegenerateDataError` naming the path.
-        """
-        with open(path) as fh:
-            try:
-                first = fh.readline().strip()
-                v1 = [h.strip() for h in first.split(",")[:2]] == ["bin_left_s", "count"]
-                lines = [] if v1 else [fh.readline().strip() for _ in _V2_LAYOUT[1:]]
-                if not v1 and [first, *(line.partition("=")[0] for line in lines)] != _V2_LAYOUT:
-                    raise ValueError("expected a v2 header or 'bin_left_s,count'")
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                            UserWarning)
-                    rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=1,
-                                      dtype=[("bin", float if v1 else np.int64),
-                                             ("count", np.int64)])
-                if not v1:
-                    bin_width, origin, n_bins, overflow = (x.partition("=")[2] for x in lines[:-1])
-                    return cls(float(bin_width), rows["count"], float(origin), int(overflow),
-                               index=rows["bin"], n_bins=int(n_bins))
-                if rows.size == 0:
-                    return cls(bin_width=1.0, counts=np.zeros(0, dtype=np.int64))
-                if rows.size == 1:
-                    raise ValueError("cannot infer bin width from a single bin")
-                widths = np.diff(rows["bin"])
-                if not np.allclose(widths, widths[0], rtol=1e-6, atol=0):
-                    raise ValueError("bins are not uniform")
-                return cls(float(widths[0]), rows["count"], origin=float(rows["bin"][0]))
-            except ValueError as exc:
-                raise DegenerateDataError(f"{path}: {exc}") from None
-
-
-def write_table(path, header: str, row_format: str, *columns) -> None:
-    """Write a header line, then ``row_format`` filled from each row of ``columns``.
-
-    Every line ends in ``\\r\\n``: the table files have always used that
-    line end, and keep it so that they stay byte-compatible.
-    """
-    rows = map((row_format + "\r\n").format, *(np.asarray(c).tolist() for c in columns))
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(rows)
 
 
 def build_histogram(

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import helpers
-from spadrate import inference, simulate
+from spadrate import inference, io, simulate
 from spadrate.cli import cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -284,7 +284,7 @@ def test_hist_reversed_range_is_usage_error(runner, tmp_path):
 def test_hist_without_timestamps_is_data_error(runner, tmp_path, name):
     ts = tmp_path / name
     if name.endswith(".bin"):
-        simulate.write_timestamps_binary(ts, simulate.TimestampSeries(times=np.empty(0)))
+        io.write_timestamps_binary(ts, simulate.TimestampSeries(times=np.empty(0)))
     else:
         ts.write_text("")
     with warnings.catch_warnings():
@@ -347,8 +347,8 @@ def test_one_bin_histogram_file_round_trips_and_fit_is_data_error(runner, tmp_pa
     hist = inference.IntervalHistogram(bin_width=0.1 + 0.2, counts=[0, 0, 7, 0],
                                        origin=80e-6 / 3, overflow=5)
     path = tmp_path / "h.csv"
-    hist.to_csv(path)
-    back = inference.IntervalHistogram.from_csv(path)
+    io.write_histogram(path, hist)
+    back = io.read_histogram(path)
     assert (back.bin_width, back.origin, back.n_bins, back.overflow) == (
         hist.bin_width, hist.origin, 4, 5)
     np.testing.assert_array_equal(back.counts, [0, 0, 7, 0])
@@ -441,27 +441,27 @@ def test_table_file_formats(runner, tmp_path):
     hist = helpers.multinomial_interval_hist(1e8, helpers.PAPER, 20_000, seed=1)
     populated = np.flatnonzero(hist.counts)
     path = tmp_path / "h.csv"
-    hist.to_csv(path)
+    io.write_histogram(path, hist)
     header = ("# spadrate interval histogram v2\r\n# bin_width=1e-09\r\n# origin=0.0\r\n"
               f"# n_bins={hist.counts.size}\r\n# overflow=0\r\nbin_index,count\r\n")
     rows = "".join("%d,%d\r\n" % (j, hist.counts[j]) for j in populated)
     assert path.read_bytes() == (header + rows).encode()
-    back = inference.IntervalHistogram.from_csv(path)
+    back = io.read_histogram(path)
     np.testing.assert_array_equal(back.counts, hist.counts)
     assert (back.origin, back.bin_width) == (hist.origin, hist.bin_width)
     shifted = inference.IntervalHistogram(bin_width=2.0**-30, counts=[1, 0, 2], origin=80e-6)
-    shifted.to_csv(tmp_path / "s.csv")
+    io.write_histogram(tmp_path / "s.csv", shifted)
     assert (tmp_path / "s.csv").read_bytes() == (
         b"# spadrate interval histogram v2\r\n# bin_width=9.313225746154785e-10\r\n"
         b"# origin=8e-05\r\n# n_bins=3\r\n# overflow=0\r\nbin_index,count\r\n0,1\r\n2,2\r\n")
-    back = inference.IntervalHistogram.from_csv(tmp_path / "s.csv")
+    back = io.read_histogram(tmp_path / "s.csv")
     assert (back.origin, back.bin_width) == (shifted.origin, shifted.bin_width)
     np.testing.assert_array_equal(back.counts, shifted.counts)
     # a dense v1 file, "%.17g,%d" rows of every bin's left edge, is still read
     v1 = tmp_path / "v1.csv"
     v1.write_bytes(("bin_left_s,count\r\n" + "".join(
         "%.17g,%d\r\n" % row for row in zip(hist.bin_edges[:-1], hist.counts))).encode())
-    back = inference.IntervalHistogram.from_csv(v1)
+    back = io.read_histogram(v1)
     np.testing.assert_array_equal(back.counts, hist.counts)
     assert (back.origin, back.bin_width) == (hist.origin, hist.bin_width)
 
@@ -480,7 +480,7 @@ def test_table_file_formats(runner, tmp_path):
 
 def test_fit_dead_time_above_populated_bins_is_fit_error(runner, tmp_path):
     hist = tmp_path / "h.csv"
-    helpers.multinomial_interval_hist(1e8, helpers.PAPER, 20_000, seed=1).to_csv(hist)
+    io.write_histogram(hist, helpers.multinomial_interval_hist(1e8, helpers.PAPER, 20_000, seed=1))
     result = runner.invoke(
         cli, ["fit", str(hist), "--fix", "tau_d=90e-6", "--out", str(tmp_path / "fit.json")]
     )
@@ -754,6 +754,19 @@ def test_simulate_rate_product_too_small_to_sample_is_usage_error(runner, tmp_pa
                                  "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "r_star*tau_r = 2.86755e-308 is too small to sample" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--ri", "1e-307", "--tau-r", "100", "--events", "100"],
+                                  ["--ri", "1e-305", "--tau-r", "1", "--events", "1000"]],
+                         ids=["on_time", "running_sum"])
+def test_simulate_stamps_past_the_float_range_are_usage_error(runner, tmp_path, args):
+    # an on-time (first case) or the running sum (second) overflows a float
+    out = tmp_path / "ts.csv"
+    result = runner.invoke(cli, ["simulate", *args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "pass the float range of timestamps" in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
 

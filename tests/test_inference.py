@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from spadrate import er, inference, nhpp, simulate
+from spadrate import er, inference, io, nhpp, simulate
 from spadrate.exceptions import DegenerateDataError, FitError, SaturationError
 
 
@@ -86,8 +86,8 @@ def test_histogram_conserves_counts(values):
 def test_histogram_csv_round_trip(tmp_path):
     hist = inference.build_histogram([1.5e-9, 2.5e-9, 7.2e-9], 1e-9)
     path = tmp_path / "h.csv"
-    hist.to_csv(path)
-    back = inference.IntervalHistogram.from_csv(path)
+    io.write_histogram(path, hist)
+    back = io.read_histogram(path)
     assert back.bin_width == pytest.approx(hist.bin_width, rel=1e-12)
     np.testing.assert_array_equal(back.counts, hist.counts)
 
@@ -172,7 +172,7 @@ def test_histogram_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,count\n0,1\n")
     with pytest.raises(ValueError):
-        inference.IntervalHistogram.from_csv(path)
+        io.read_histogram(path)
 
 
 _V2_HEADER = "# spadrate interval histogram v2\n# bin_width=1e-09\n# origin=0.0\n"
@@ -192,9 +192,9 @@ def test_malformed_histogram_file_is_degenerate_data(tmp_path, content):
     path = tmp_path / "h.csv"
     path.write_bytes(content)
     with pytest.raises(DegenerateDataError, match=re.escape(str(path))):
-        inference.IntervalHistogram.from_csv(path)
+        io.read_histogram(path)
     with pytest.raises(ValueError):
-        inference.IntervalHistogram.from_csv(path)
+        io.read_histogram(path)
 
 
 def test_simulated_histogram_shape(paper_params):

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 import helpers
-from spadrate import er, simulate
+from spadrate import er, io, simulate
 from spadrate.exceptions import DegenerateDataError
 from spadrate.paralyzing import ParalyzingParams
 
@@ -81,8 +81,8 @@ def test_seed_reproducibility(paper_params, tmp_path):
     b = simulate.simulate(config)
     assert np.array_equal(a.times, b.times)
     pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
-    simulate.write_timestamps_binary(pa, a)
-    simulate.write_timestamps_binary(pb, b)
+    io.write_timestamps_binary(pa, a)
+    io.write_timestamps_binary(pb, b)
     assert pa.read_bytes() == pb.read_bytes()
     other = simulate.simulate(_config(paper_params, 5e6, n_events=5_000, seed=100))
     assert not np.array_equal(a.times, other.times)
@@ -394,6 +394,27 @@ def test_rate_product_too_small_to_sample_raises(paper_params, stop):
         simulate.simulate(config)
 
 
+def _far_config(paper_params, ri, tau_r, **stop):
+    params = er.ErParams(eta0=paper_params.eta0, tau_d=paper_params.tau_d, tau_r=tau_r)
+    return simulate.SimConfig(er=params, source=er.SourceParams(photon_rate=ri), **stop)
+
+
+@pytest.mark.parametrize("ri, tau_r, n_events", [(1e-307, 100.0, 100), (1e-305, 1.0, 1000)],
+                         ids=["on_time", "running_sum"])
+def test_event_stop_past_the_float_range_raises(paper_params, ri, tau_r, n_events):
+    # tau_r * x overflows in the first case, the running sum of ~5e305 s
+    # on-times in the second; RuntimeWarnings are errors under the test configuration
+    with pytest.raises(ValueError, match=r"pass the float range of timestamps \(1.8e\+308 s\)"):
+        simulate.simulate(_far_config(paper_params, ri, tau_r, n_events=n_events))
+
+
+def test_duration_stop_past_the_float_range_keeps_the_stamps_before_it(paper_params):
+    # the 1024 on-times of the first chunk, ~5e305 s each, sum past the float range
+    times = simulate.simulate(_far_config(paper_params, 1e-305, 1.0, duration=1e308)).times
+    assert times.size > 0
+    assert np.all(np.diff(times) > 0)
+    assert times[-1] <= 1e308
+
 def test_tiny_sampled_rate_product_gives_increasing_stamps(paper_params):
     # r_star*tau_r = 1e-306: the largest draw's hazard, 44.4 / 1e-306, is a finite float
     times = simulate.simulate(_config(paper_params, 1e-306 / paper_params.tau_r,
@@ -421,8 +442,8 @@ def test_duration_stop(paper_params):
 def test_csv_round_trip(paper_params, tmp_path):
     series = simulate.simulate(_config(paper_params, 1e6, n_events=500, seed=19))
     path = tmp_path / "ts.csv"
-    simulate.write_timestamps_csv(path, series)
-    back = simulate.read_timestamps_csv(path)
+    io.write_timestamps_csv(path, series)
+    back = io.read_timestamps_csv(path)
     np.testing.assert_array_equal(back, series.times)
 
 
@@ -430,10 +451,10 @@ def test_csv_reader_grows_past_its_first_guess(tmp_path):
     # lines of 2-7 bytes: the first allocation, 16 bytes a line, is too small
     times = np.arange(1.0, 300_001.0)
     path = tmp_path / "ts.csv"
-    simulate.write_timestamps_csv(path, simulate.TimestampSeries(times))
+    io.write_timestamps_csv(path, simulate.TimestampSeries(times))
     assert path.stat().st_size // 16 + 1 < times.size
     with open(path, "rb") as fh:
-        back = simulate._parse_csv(fh)
+        back = io._parse_csv(fh)
     np.testing.assert_array_equal(back.view(np.int64), times.view(np.int64))
 
 
@@ -464,13 +485,13 @@ def test_line_kernel_matches_fstring():
     ])
     exact = values[(values > 1e-6) & (values < 1e17)]
     assert exact.size > 0.99 * values.size
-    assert simulate._format_lines(exact).split(b"\n") == _g17_lines(exact).split(b"\n")
+    assert io._format_lines(exact).split(b"\n") == _g17_lines(exact).split(b"\n")
     # sorted blocks mostly hold one decimal exponent, as timestamp blocks do
     for block in np.array_split(np.sort(exact), 200):
-        assert simulate._format_lines(block) == _g17_lines(block)
+        assert io._format_lines(block) == _g17_lines(block)
     # one value outside (1e-6, 1e17) sends the block through the f-string
     mixed = np.concatenate([[0.0, 5e-7, 1e-6, 1e17, 3e20, -1.5], exact[:1000]])
-    assert simulate._format_lines(mixed) == _g17_lines(mixed)
+    assert io._format_lines(mixed) == _g17_lines(mixed)
 
 
 def _loadtxt(path):
@@ -481,7 +502,7 @@ def _loadtxt(path):
 
 def _read_both_ways(path):
     """read_timestamps_csv of path, checked bit for bit against np.loadtxt."""
-    back = simulate.read_timestamps_csv(path)
+    back = io.read_timestamps_csv(path)
     assert back.shape == _loadtxt(path).shape
     assert np.array_equal(back.view(np.int64), _loadtxt(path).view(np.int64))
     return back
@@ -540,10 +561,10 @@ def test_csv_reader_is_exact_on_the_writer_lines(tmp_path):
     ])
     values = values[(values > 1e-6) & (values < 1e17)]
     path = tmp_path / "ts.csv"
-    path.write_bytes(b"".join(simulate._format_lines(block)
+    path.write_bytes(b"".join(io._format_lines(block)
                               for block in np.array_split(values, 100)))
     with open(path, "rb") as fh:
-        assert simulate._parse_csv(fh) is not None  # the parser, not the fallback, read it
+        assert io._parse_csv(fh) is not None  # the parser, not the fallback, read it
     assert np.array_equal(_read_both_ways(path).view(np.int64), values.view(np.int64))
 
 
@@ -552,7 +573,7 @@ def test_csv_reader_rounds_near_midpoints_correctly(tmp_path):
     path = tmp_path / "mid.csv"
     path.write_text("".join(line + "\n" for line in lines))
     with open(path, "rb") as fh:
-        assert simulate._parse_csv(fh) is not None
+        assert io._parse_csv(fh) is not None
     expected = np.array([float(line) for line in lines])
     assert np.array_equal(_read_both_ways(path).view(np.int64), expected.view(np.int64))
 
@@ -576,7 +597,7 @@ def test_csv_reader_falls_back_to_loadtxt(tmp_path, content):
     path = tmp_path / "ts.csv"
     path.write_bytes(content)
     with open(path, "rb") as fh:
-        assert simulate._parse_csv(fh) is None
+        assert io._parse_csv(fh) is None
     assert _read_both_ways(path).size > 0
 
 
@@ -589,8 +610,8 @@ def test_csv_reader_empty_file(tmp_path):
 def test_binary_round_trip(paper_params, tmp_path):
     series = simulate.simulate(_config(paper_params, 1e6, n_events=500, seed=20))
     path = tmp_path / "ts.bin"
-    simulate.write_timestamps_binary(path, series)
-    back = simulate.read_timestamps_binary(path)
+    io.write_timestamps_binary(path, series)
+    back = io.read_timestamps_binary(path)
     np.testing.assert_array_equal(back, series.times)
 
 
@@ -598,10 +619,10 @@ def test_binary_rejects_corruption(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 12)
     with pytest.raises(ValueError):
-        simulate.read_timestamps_binary(path)
+        io.read_timestamps_binary(path)
     path.write_bytes(b"\x01")
     with pytest.raises(ValueError):
-        simulate.read_timestamps_binary(path)
+        io.read_timestamps_binary(path)
 
 
 @pytest.mark.parametrize("name, content", [
@@ -617,11 +638,10 @@ def test_malformed_timestamp_file_is_degenerate_data(tmp_path, name, content):
     # the CLI maps DegenerateDataError to exit 3 and any other ValueError to exit 2
     path = tmp_path / name
     path.write_bytes(content)
-    read = simulate.read_timestamps_binary if name.endswith(".bin") else simulate.read_timestamps_csv
     with pytest.raises(DegenerateDataError, match=re.escape(str(path))):
-        read(path)
+        io.read_timestamps(path)
     with pytest.raises(ValueError):
-        read(path)
+        io.read_timestamps(path)
 
 
 @pytest.mark.parametrize("times", [[1.0, 0.5], [1.0, 1.0], [1.0, np.nan]],
