@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import er
+from . import er, nhpp
 from .exceptions import FitError
 from .inference import _fisher_scoring
 
@@ -57,9 +57,6 @@ def paralyzation_prob(pp: ParalyzingParams, r_star: float, tau_r: float) -> floa
     return float(er.er_cdf(pp.tau_p1, r_star, tau_r))
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(48)
-
-
 def _conditional_numerator(tau_p1: float, r_star: float, tau_r: float) -> float:
     """Integral of t * pdf(t) over [0, tau_p1] by 48-point Gauss-Legendre panels.
 
@@ -72,9 +69,7 @@ def _conditional_numerator(tau_p1: float, r_star: float, tau_r: float) -> float:
     c = 50.0 / er._rate_product(r_star, tau_r)
     end = min(tau_p1, tau_r * 0.5 * (c + math.sqrt(c * (c + 8.0))))
     knee = min(end, 40.0 * tau_r)
-    half = 0.5 * np.array([[knee], [end - knee]])
-    t = np.array([[0.0], [knee]]) + half * (_GL_X + 1.0)
-    return float(np.sum(half * _GL_W * t * er.er_pdf(t, r_star, tau_r)))
+    return nhpp._gauss_legendre(lambda t: t * er.er_pdf(t, r_star, tau_r), [0.0, knee, end])
 
 
 def mean_conditional_on_time(pp: ParalyzingParams, r_star: float, tau_r: float) -> float:

@@ -252,7 +252,11 @@ def simulate(config: SimConfig) -> TimestampSeries:
     # past the float range a stamp becomes inf, which the duration filters out
     with np.errstate(over="ignore"):
         while True:
-            chunk_n = max(1024, int(1.2 * (config.duration - elapsed) / mean_interval))
+            remaining = config.duration - elapsed
+            expected = 1.2 * remaining / mean_interval
+            if expected == np.inf:  # 1.2 * remaining passed the float range: divide first
+                expected = 1.2 * (remaining / mean_interval)
+            chunk_n = max(1024, int(expected))
             on = _sample_on_times(rng, chunk_n, r_star, tau_r, config.paralyzing)
             on += tau_d
             chunks.append(on)

@@ -771,6 +771,19 @@ def test_simulate_stamps_past_the_float_range_are_usage_error(runner, tmp_path, 
     assert not out.exists()
 
 
+def test_simulate_duration_near_the_float_maximum_writes_its_stamps(runner, tmp_path):
+    # 1.2 * duration is inf, so the first chunk size divides by the mean first
+    out = tmp_path / "ts.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(cli, ["simulate", "--ri", "1e-305", "--tau-r", "1",
+                                     "--duration", "1.7e308", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    times = io.read_timestamps(out)
+    assert times.size > 1 and np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)
+    assert times[-1] <= 1.7e308
+
+
 @pytest.mark.parametrize("model", ["simple", "high"])
 def test_tabulate_at_subnormal_rate_is_usage_error(runner, tmp_path, model):
     # the mean 1/r_star overflows; a row of inf and a measured rate of 0 is no answer

@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 import helpers
-from spadrate import er, paralyzing, simulate
+from spadrate import er, nhpp, paralyzing, simulate
 from spadrate.exceptions import FitError
 from spadrate.paralyzing import (
     ParalyzingParams,
@@ -29,7 +29,7 @@ def simpson_conditional_mean(pp, r_star, tau_r, n=100_001):
 def test_gauss_legendre_rule_integrates_polynomials_to_degree_95():
     # the weights are ~1e-12 off a 50-digit rule (scipy's too), which leaves
     # up to ~7e-15 on a monomial
-    x, w = paralyzing._GL_X, paralyzing._GL_W
+    x, w = nhpp._GL_X, nhpp._GL_W
     for k in range(96):
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
         assert abs(w @ x**k - exact) <= 1e-14, f"x^{k}"
