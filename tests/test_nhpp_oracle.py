@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spadrate import er, nhpp
+from spadrate.exceptions import IntegrationError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 TAU_R = 112.5e-9
@@ -50,6 +51,39 @@ def test_numeric_cumulative_matches_the_closed_form_far_past_the_knee():
     assert numeric == pytest.approx(prof.cumulative(t), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("k", range(-16, 17))
+def test_mean_on_time_through_the_numeric_cumulative_matches_the_er_closed_form(k):
+    a = 10.0 ** (k / 2)
+    prof = nhpp.profile_from_efficiency(er.er_profile(1.0, TAU_R).efficiency)
+    mean = nhpp.mean_on_time(prof, a / TAU_R)
+    assert mean == pytest.approx(er.er_mean_on_time(a / TAU_R, TAU_R), rel=1e-14, abs=0)
+
+
+def test_numeric_cumulative_of_an_array_matches_the_closed_form():
+    # unsorted, with repeats and a 0: one pass serves every time, in place
+    prof = er.er_profile(1.0, TAU_R)
+    numeric = nhpp.profile_from_efficiency(prof.efficiency).cumulative
+    t = TAU_R * np.array([[3.0, 0.0, 1e-6], [3.0, 1e4, 0.5], [1e-6, 0.0, 40.0]])
+    out = numeric(t)
+    assert out.shape == t.shape
+    np.testing.assert_allclose(out, prof.cumulative(t), rtol=1e-14, atol=0)
+    # a nan is nan alone: the halving grid still spans the largest finite time
+    far, nan = numeric(np.array([1e4 * TAU_R, np.nan]))
+    assert far == pytest.approx(prof.cumulative(1e4 * TAU_R), rel=1e-14, abs=0)
+    assert np.isnan(nan)
+    scalar = numeric(np.float64(TAU_R))
+    assert isinstance(scalar, float)
+    assert scalar == pytest.approx(prof.cumulative(TAU_R), rel=1e-14, abs=0)
+
+
+def test_mean_on_time_raises_where_the_hazard_stays_bounded():
+    # eta(t) = exp(-t) integrates to 1: at r_i = 0.01 the hazard never reaches 45
+    bounded = nhpp.EfficiencyProfile(efficiency=lambda t: np.exp(-t),
+                                     cumulative=lambda t: -np.expm1(-np.asarray(t, dtype=float)))
+    with pytest.raises(IntegrationError, match="hazard still below 45"):
+        nhpp.mean_on_time(bounded, 0.01)
+
+
 def _kappa_efficiency(t):
     # ROADMAP item 6's saturating recovery at kappa = 1, eta0 = 1
     return np.expm1(np.expm1(-t / TAU_R)) / np.expm1(-1.0)
@@ -80,6 +114,19 @@ def test_mean_on_time_of_a_non_exponential_recovery_matches_mpmath(a):
     prof = nhpp.profile_from_efficiency(_kappa_efficiency)
     mean = nhpp.mean_on_time(prof, a / TAU_R)
     assert mean == pytest.approx(_mp_kappa_mean(a), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+def test_kappa_mean_evaluates_the_efficiency_at_fewer_than_a_million_points(a):
+    # a cumulative that loops over the requested times in Python needs ~1.07e7
+    points = []
+
+    def efficiency(t):
+        points.append(np.size(t))
+        return _kappa_efficiency(t)
+
+    nhpp.mean_on_time(nhpp.profile_from_efficiency(efficiency), a / TAU_R)
+    assert sum(points) < 1e6
 
 
 @pytest.mark.parametrize("r", [3e-300, 1e300])
