@@ -1,6 +1,7 @@
 """File formats: timestamp streams, interval histograms and result tables.
 
-Timestamps are CSV, one exact ``%.17g`` line each, or binary: a 16-byte
+Timestamps are CSV, one exact ``%.17g`` line each, formed from integer
+digits by numpy word arithmetic (``_format_lines``), or binary: a 16-byte
 header (magic, version, count), then little-endian float64 values.
 Histograms are v2 CSV, or dense v1 when read.  A malformed file raises
 :class:`DegenerateDataError` naming the path.
@@ -22,64 +23,54 @@ __all__ = ["read_timestamps", "write_timestamps_csv", "read_timestamps_csv",
            "write_timestamps_binary", "read_timestamps_binary", "write_histogram",
            "read_histogram", "write_table"]
 
-# Timestamps the CSV writer formats at a time
+# Timestamps the CSV writer formats at a time: 2**13 wrote 1e6 stamps in about
+# the same time, 2**15 ~5% and 2**16 ~40% slower (one pinned x86 vCPU)
 _BLOCK = 1 << 14
 _BINARY_MAGIC = b"SPTS"
 _BINARY_VERSION = 1
 _HEADER = struct.Struct("<4sIQ")  # magic, version, count: 16 bytes
+# The CSV kernels work on uint64 words, and every constant they meet is a
+# uint64 too: numpy 1.x turns uint64 mixed with int64 into float64.
+_U = np.uint64
 
 
-def _line_templates() -> tuple[np.ndarray, np.ndarray]:
-    """Byte sources of the ``%.17g`` lines and the bytes each line keeps.
+def _line_templates() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Byte sources of the ``%.17g`` lines, their widths and the words OR'd into their rows.
 
-    A line is gathered from a row of the 17 digits followed by the bytes of
-    ``_LITERALS``.  ``template[E - _E_MIN]`` lists the row positions of the
-    line of a value with decimal exponent E showing all 17 digits, padded to
-    one width, with its suffix (the newline, after ``e-05`` in the
-    exponential form) in the last columns.  ``keep[18 * (E - _E_MIN) + nd]``
-    marks the columns left when the value has nd significant digits: the
-    trailing zeros, a bare decimal point and the padding are dropped.
+    A line is gathered from a row of 24 bytes: ``.0e-N``, a NUL, the newline,
+    then the 17 digits as bytes 0-9.  ``template[E - _E_MIN]`` lists the row
+    positions of the line of a value with decimal exponent E showing all 17
+    digits, ``width[E - _E_MIN]`` long, then NUL padding.  ``add[E - _E_MIN, nd]``
+    is OR'd into the row of a value with nd significant digits: the literals,
+    '0' onto each digit the line shows, and the dot only if digits follow it.
+    A trailing zero and a bare dot thus stay NUL bytes, deleted with the padding.
     """
-    lit = {chr(c): 17 + i for i, c in enumerate(_LITERALS)}
-    width = 23  # the longest line, 0.000 and 17 digits, and its newline
-    template = np.full((_E_MAX - _E_MIN + 1, width), lit["\n"], dtype=np.intp)
-    cut = np.zeros((_E_MAX - _E_MIN + 1, 18), dtype=np.intp)
-    suffix = np.full(_E_MAX - _E_MIN + 1, width - 1, dtype=np.intp)
+    dot, zero, letter_e, minus, power, nul, newline = range(7)  # power: the 5 of e-05
+    digit = list(range(7, 24))
+    template = np.full((_E_MAX - _E_MIN + 1, 23), nul, dtype=np.intp)
+    add = np.zeros((_E_MAX - _E_MIN + 1, 18, 24), dtype=np.uint8)
     nd = np.arange(18)
     for e in range(_E_MIN, _E_MAX + 1):
         i = e - _E_MIN
         if e >= 0:  # fixed: all integer digits, then any fraction
-            body = [*range(e + 1), lit["."], *range(e + 1, 17)]
-            cut[i] = np.where(nd > e + 1, nd + 1, e + 1)
+            line, fraction = [*digit[:e + 1], dot, *digit[e + 1:], newline], e + 1
         elif e >= -4:  # fixed: 0.000ddd
-            body = [lit["0"], lit["."], *[lit["0"]] * (-e - 1), *range(17)]
-            cut[i] = 1 - e + nd
+            line, fraction = [zero, dot, *[zero] * (-e - 1), *digit, newline], 0
         else:  # exponential: d.ddde-05
-            body = [0, lit["."], *range(1, 17)]
-            cut[i] = np.where(nd > 1, nd + 1, 1)
-            suffix[i] = width - 5
-            template[i, suffix[i]:-1] = [lit["e"], lit["-"], lit["0"], lit[str(-e)]]
-        template[i, :len(body)] = body
-    cols = np.arange(width)
-    keep = (cols < cut[:, :, None]) | (cols >= suffix[:, None, None])
-    return template, keep.reshape(-1, width)
+            line, fraction = [digit[0], dot, *digit[1:], letter_e, minus, zero, power, newline], 1
+        template[i, :len(line)] = line
+        add[i, :, :7] = np.frombuffer(b".0e-%d\0\n" % max(-e, 0), dtype=np.uint8)
+        add[i, nd <= fraction, 0] = 0
+        add[i, :, 7:] = np.where(np.arange(17) < np.maximum(nd[:, None], e + 1), ord("0"), 0)
+    return template, (template != nul).sum(axis=1), add.view(_U)
 
 
 # Exact range of the line kernel: 10**(16 - E) is an exact double for E >= -6.
 _E_MIN, _E_MAX = -6, 16
-_LITERALS = b".0e-56\n"
 _POW10 = np.array([float(10 ** k) for k in range(16 - _E_MIN + 1)])
 _SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp: splits a double into two 26-bit halves
-# The four ASCII digits of 0..9999, one uint32 each, in memory order.  Built
-# in uint16 to keep its temporaries small.
-_DIGITS4 = (np.arange(10_000, dtype=np.uint16)[:, None]
-            // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
-            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_TEMPLATE, _KEEP = _line_templates()
+_TEMPLATE, _WIDTH, _ADD = _line_templates()
 
-# The CSV reader works on uint64 words, and every constant they meet is a
-# uint64 too: numpy 1.x turns uint64 mixed with int64 into float64.
-_U = np.uint64
 _ROW = 24  # bytes the reader takes in before each newline; the writer's lines have at most 22
 # Bytes per read of the CSV reader, ~7k lines of ~19 bytes.  Its
 # temporaries, ~150 bytes a line, stay on the heap after the read: 2**18
@@ -124,44 +115,63 @@ def _format_lines(x: np.ndarray) -> bytes:
     exact, as Python's correctly rounded formatting does.  A first E from
     log10 is corrected by one where the exact product falls outside
     [1e16, 1e17), and a rounding carry to 10**17 becomes 10**16 at E + 1.
-    The digits are laid out in ``%g``'s fixed form for -4 <= E < 17 and its
-    exponential form below, trailing zeros stripped.
+    Each half of the last 16 digits becomes one word of bytes (``_digit_bytes``),
+    laid out by ``_line_templates`` in ``%g``'s fixed form for -4 <= E < 17 and its
+    exponential form below; the zeros and bare dot a line drops are NULs, deleted at once.
     """
-    if not np.all((x > 1e-6) & (x < 1e17)):
+    bounds = np.array([x.min(), x.max()])
+    if not (1e-6 < bounds[0] and bounds[1] < 1e17):  # nan fails too
         return "".join(f"{t:.17g}\n" for t in x.tolist()).encode()
-    e = np.clip(np.floor(np.log10(x)).astype(np.int64), _E_MIN, _E_MAX)
+    e = np.floor(np.log10(bounds))  # one E for the block if its ends share one
+    e = np.clip(e[0] if e[0] == e[1] else np.floor(np.log10(x)), _E_MIN, _E_MAX).astype(np.int64)
     p, err = _two_product(x, _POW10[16 - e])
     shift = ((p > 1e17) | ((p == 1e17) & (err >= 0))).astype(np.int64)
     shift -= (p < 1e16) | ((p == 1e16) & (err < 0))
     redo = np.flatnonzero(shift)
     if redo.size:
-        e[redo] += shift[redo]
+        e = e + shift
         p[redo], err[redo] = _two_product(x[redo], _POW10[16 - e[redo]])
     below = np.floor(err)
     digits = p.astype(np.int64) + below.astype(np.int64)
     frac = err - below
-    digits += (frac > 0.5) | ((frac == 0.5) & (digits % 2 == 1))
+    digits += (frac > 0.5) | ((frac == 0.5) & (digits & 1 == 1))
     carry = digits == 10 ** 17
     digits[carry] = 10 ** 16
-    e += carry
+    e = e + carry
 
-    high = digits // 10 ** 8  # the first 9 digits; both halves fit int32
-    low = (digits - high * 10 ** 8).astype(np.int32)
-    high = high.astype(np.int32)
+    high = digits // 10 ** 8
     lead = high // 10 ** 8
-    mid = high - lead * 10 ** 8
-    groups = np.stack([mid // 10 ** 4, mid % 10 ** 4, low // 10 ** 4, low % 10 ** 4], axis=1)
-    source = np.empty((x.size, 17 + len(_LITERALS)), dtype=np.uint8)
-    source[:, 0] = lead + ord("0")
-    source[:, 1:17] = _DIGITS4[groups].view(np.uint8)
-    source[:, 17:] = np.frombuffer(_LITERALS, dtype=np.uint8)
-    n_digits = 17 - np.argmax(source[:, 16::-1] != ord("0"), axis=1)
-    row = e - _E_MIN
-    if row.min() == row.max():  # one exponent, as in most blocks of sorted timestamps
-        lines = source[:, _TEMPLATE[row[0]]]
+    mid, mid_digits = _digit_bytes(high - lead * 10 ** 8)
+    low, low_digits = _digit_bytes(digits - high * 10 ** 8)
+    del p, err, below, frac, shift, digits, high
+    n_digits = np.maximum(np.maximum(mid_digits + 1, low_digits + 9), 1)
+    i = e - _E_MIN
+    if i.min() == i.max():  # one exponent, as in most blocks of sorted timestamps
+        row = _ADD[i[0]].take(n_digits, axis=0)
+        line = slice(None), _TEMPLATE[i[0], :_WIDTH[i[0]]]
     else:
-        lines = np.take_along_axis(source, _TEMPLATE[row], axis=1)
-    return lines[_KEEP.take(18 * row + n_digits, axis=0)].tobytes()
+        row = _ADD[i, n_digits]
+        line = np.arange(x.size)[:, None], _TEMPLATE[i]
+    row[:, 0] |= (lead << 56).view(_U)
+    row[:, 1] |= mid
+    row[:, 2] |= low
+    return row.view(np.uint8)[line].tobytes().replace(b"\0", b"")
+
+
+def _digit_bytes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 8 digits of each 0 <= v < 10**8 as bytes 0-9 of a word w, first digit lowest, and
+    the count of digits up to its last nonzero one (negative for v = 0).
+
+    SWAR: 4-digit lanes of 32 bits are split by L // 100 = L * 5243 >> 19, then
+    L // 10 = L * 103 >> 10.  The count is (w's float exponent - 1015) >> 3.
+    """
+    high = v // 10 ** 4
+    x = (v - high * 10 ** 4 << 32 | high).view(_U)
+    q = x * _U(5243) >> _U(19) & _U(0x0000007F0000007F)
+    x = (x << _U(16)) - q * _U((100 << 16) - 1)
+    q = x * _U(103) >> _U(10) & _U(0x000F000F000F000F)
+    x = (x << _U(8)) - q * _U((10 << 8) - 1)
+    return x, (x.view(np.int64).astype(float).view(np.int64) >> 52) - 1015 >> 3
 
 
 def write_timestamps_csv(path, series: TimestampSeries) -> None:
@@ -394,8 +404,8 @@ def read_timestamps_binary(path) -> np.ndarray:
 
 
 def read_timestamps(path) -> np.ndarray:
-    """Timestamps of a binary file for a ``.bin`` path, of a CSV file otherwise."""
-    if str(path).endswith(".bin"):
+    """Timestamps of a binary file for a ``.bin`` path in any case, of a CSV file otherwise."""
+    if str(path).lower().endswith(".bin"):
         return read_timestamps_binary(path)
     return read_timestamps_csv(path)
 
