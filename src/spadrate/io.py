@@ -1,8 +1,9 @@
 """File formats: timestamp streams, interval histograms and result tables.
 
-Timestamps are CSV, one exact ``%.17g`` line each, formed from integer
-digits by numpy word arithmetic (``_format_lines``), or binary: a 16-byte
-header (magic, version, count), then little-endian float64 values.
+Timestamps are CSV, one exact ``%.17g`` line each, or binary: a 16-byte
+header (magic, version, count), then little-endian float64 values.  CSV lines
+are formed and parsed by numpy word arithmetic, a block at a time, and by
+constant shifts and masks in blocks of one layout, as most of a sorted stream.
 Histograms are v2 CSV, or dense v1 when read.  A malformed file raises
 :class:`DegenerateDataError` naming the path.
 """
@@ -72,10 +73,10 @@ _SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp: splits a double into two 26-bit halves
 _TEMPLATE, _WIDTH, _ADD = _line_templates()
 
 _ROW = 24  # bytes the reader takes in before each newline; the writer's lines have at most 22
-# Bytes per read of the CSV reader, ~7k lines of ~19 bytes.  Its
-# temporaries, ~150 bytes a line, stay on the heap after the read: 2**18
-# read 1e6 lines ~6% faster alone, not in `characterize`, whose peak RSS
-# it raised by ~0.7 MiB; 2**16 was ~12% slower.
+# Bytes per read of the CSV reader, ~7k lines of ~19 bytes, whose temporaries
+# (~110-145 bytes a line) stay on the heap after the read.  Against 2**17, 2**18
+# read 1e6 lines ~6% faster alone, not in `characterize`, and raised its peak RSS
+# by ~0.8 MiB; 2**16 was ~17% slower alone and ~8% in `characterize`.
 _READ = 1 << 17
 _DOTS = _U(0x2E2E2E2E2E2E2E2E)
 _ZEROS = _U(0x3030303030303030)
@@ -212,7 +213,10 @@ def _row_masks() -> tuple[np.ndarray, ...]:
 
 
 _LEFT, _RIGHT, _FILL, _CONTENT = _row_masks()
-_WORD_OFFSETS = np.arange(-_ROW, 0, 8)[:, None]  # from a newline to its row's three words
+_WORD_STARTS = np.arange(0, _ROW, 8)[:, None]  # from a line's start to its three words
+_KEEP = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=_U)  # a word's low n bytes
+# Column L: the bytes of each word that hold the L - 1 digits of a line of L bytes, dot closed up
+_DIGITS_KEPT = _KEEP.take(np.clip(np.arange(_ROW + 1) - 1 - _WORD_STARTS, 0, 8))
 
 
 def _dot_offsets(x: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -242,19 +246,26 @@ def _mantissas(x: np.ndarray, i: np.ndarray) -> np.ndarray | None:
     left <<= _U(8)
     x |= left
     x ^= _ZEROS  # digits become bytes 0-9; adding 0x76 sets the high bit of any other byte
-    y = x + _SEVENTY_SIXES
-    y |= x
-    if np.any(y & _HIGH_BITS):
+    if np.any((x + _SEVENTY_SIXES | x) & _HIGH_BITS):
         return None
-    y = x >> _U(8)  # Lemire's eight digits at once, the first in the low byte
+    _eight_digits(x)
+    if x[0].max() > 9:  # more than 17 digits
+        return None
+    return (x[0] * _U(10 ** 16) + x[1] * _U(10 ** 8) + x[2]).view(np.int64)
+
+
+def _eight_digits(x: np.ndarray) -> None:
+    """Lemire's eight digits at once: each word x of bytes 0-9, first lowest, becomes its value."""
+    y = x >> _U(8)
     x *= _U(10)
     x += y
-    group = (x & _U(0x000000FF000000FF)) * _U(100 + (1_000_000 << 32))
-    group += ((x >> _U(16)) & _U(0x000000FF000000FF)) * _U(1 + (10_000 << 32))
-    group >>= _U(32)
-    if group[0].max() > 9:  # more than 17 digits
-        return None
-    return (group[0] * _U(10 ** 16) + group[1] * _U(10 ** 8) + group[2]).view(np.int64)
+    np.right_shift(x, _U(16), out=y)
+    y &= _U(0x000000FF000000FF)
+    y *= _U(1 + (10_000 << 32))
+    x &= _U(0x000000FF000000FF)
+    x *= _U(100 + (1_000_000 << 32))
+    x += y
+    x >>= _U(32)
 
 
 def _parse_rows(x: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -289,17 +300,20 @@ def _parse_rows(x: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarr
     k += s - (s > 0)
     if m is None or k.max() > 16 - _E_MIN:
         return None
+    return _divide(m, _POW10.take(k))
+
+
+def _divide(m: np.ndarray, p10) -> tuple[np.ndarray, np.ndarray]:
+    """t = m / p10 as ``_parse_rows`` explains, p10 an array or a scalar, and the t to redo."""
     mh = m.astype(float)
     ml = (m - mh.astype(np.int64)).astype(float)
-    del m
-    p10 = _POW10.take(k)
     q1 = mh / p10
     p, e = _two_product(q1, p10)
     correction = mh - p
     correction -= e
     correction += ml
     correction /= p10
-    del mh, ml, p, e, p10
+    del mh, ml, p, e
     t = q1 + correction
     ulp = (t.view(np.uint64) & _EXPONENT).view(float) * 2.0 ** -52
     redo = np.abs(2 * np.abs((q1 - t) + correction) - ulp) < 2.0 ** -39 * ulp
@@ -307,34 +321,65 @@ def _parse_rows(x: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return t, np.flatnonzero(redo)
 
 
+def _parse_one_layout(buf: np.ndarray, starts: np.ndarray,
+                      length: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_parse_rows`` for lines at ``starts`` in buf, or None unless each has at most 18 bytes
+    and its dot at one column c, 1 <= c <= 16, as in most reads of sorted stamps.
+
+    Gathered from their starts, all lines close the dot gap by the same shifts;
+    the bytes after their L - 1 digits, cleared to digit 0, pad them to 17
+    digits M = t * 10**(17 - c), divided by one scalar 10**(17 - c).
+    """
+    c = buf[starts[0]:starts[0] + length[0]].tobytes().find(b".")
+    if not (1 <= c <= 16 and length.max() <= 18 and length.min() > c
+            and np.all(buf.take(starts + c) == ord("."))):
+        return None
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    x = words[starts + _WORD_STARTS]
+    # the c bytes before the dot, the digits of a line of c + 1 bytes, stay; the rest move down one
+    after = x >> _U(8)
+    after[:2] |= x[1:] << _U(56)
+    after ^= x
+    after &= ~_DIGITS_KEPT[:, c + 1:c + 2]
+    x ^= after
+    del after
+    x ^= _ZEROS
+    x &= _DIGITS_KEPT.take(length, axis=1)
+    if np.any((x + _SEVENTY_SIXES | x) & _HIGH_BITS):  # a byte other than a digit
+        return None
+    _eight_digits(x[:2])
+    return _divide((x[0] * _U(10 ** 9) + x[1] * _U(10) + x[2]).view(np.int64), 10.0 ** (17 - c))
+
+
 def _parse_csv(fh) -> np.ndarray | None:
     """Timestamps of an open CSV file in the writer's grammar, or None for any other file.
 
-    Reads ``_READ`` bytes at a time after a carry of the last partial line;
-    every line ends in a newline and is at most ``_ROW`` bytes long.  The
-    result is allocated at a guess of 16 bytes per line, one large block
-    rather than a heap block grown from nothing, and resized in place to
-    the line count that the bytes read so far predict.
+    Reads ``_READ`` bytes at a time after a carry of the last partial line,
+    with ``_ROW`` bytes to spare after them for the words of the last line;
+    every line ends in a newline and is at most ``_ROW`` bytes long.  A read
+    whose lines share one layout goes to ``_parse_one_layout``, any other to
+    ``_parse_rows``.  The result is allocated at a guess of 16 bytes per
+    line, one large block rather than a heap block grown from nothing, and
+    resized in place to the line count that the bytes read so far predict.
     """
     unread = os.fstat(fh.fileno()).st_size
-    buf = np.full(2 * _ROW + _READ, ord("\n"), dtype=np.uint8)
+    buf = np.full(3 * _ROW + _READ, ord("\n"), dtype=np.uint8)
     # the unaligned little-endian word at every byte offset of buf
     words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
     times = np.empty(unread // 16 + 1)
     n = 0
     carry = 0
-    while got := fh.readinto(memoryview(buf)[_ROW + carry:]):
+    while got := fh.readinto(memoryview(buf)[_ROW + carry:-_ROW]):
         unread -= got
         end = _ROW + carry + got
-        ends = np.flatnonzero(buf[_ROW:end] == ord("\n"))
+        ends = np.flatnonzero(buf[_ROW:end] == ord("\n")) + _ROW
         if ends.size == 0:
             return None
-        ends += _ROW
-        length = np.diff(ends, prepend=_ROW - 1)
-        length -= 1
+        length = np.diff(ends, prepend=_ROW - 1) - 1
         if length.min() < 1 or length.max() > _ROW:
             return None
-        parsed = _parse_rows(words[ends + _WORD_OFFSETS], length)
+        parsed = (_parse_one_layout(buf, ends - length, length)
+                  or _parse_rows(words[ends + (_WORD_STARTS - _ROW)], length))
         if parsed is None:
             return None
         t, redo = parsed

@@ -30,6 +30,7 @@ import numpy as np
 
 from .er import (ErParams, SourceParams, _rate_product, er_cumulative_hazard,
                  er_mean_on_time)
+from .inference import MAX_ARRAY_LENGTH
 from .paralyzing import ParalyzingParams
 
 __all__ = [
@@ -256,6 +257,9 @@ def simulate(config: SimConfig) -> TimestampSeries:
             expected = 1.2 * remaining / mean_interval
             if expected == np.inf:  # 1.2 * remaining passed the float range: divide first
                 expected = 1.2 * (remaining / mean_interval)
+            if expected > MAX_ARRAY_LENGTH:  # inf where the count passes the float range
+                raise ValueError(f"duration {config.duration:g} s expects {expected / 1.2:.3g} "
+                                 f"detections, more than the {MAX_ARRAY_LENGTH} one array can hold")
             chunk_n = max(1024, int(expected))
             on = _sample_on_times(rng, chunk_n, r_star, tau_r, config.paralyzing)
             on += tau_d

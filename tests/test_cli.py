@@ -784,6 +784,22 @@ def test_simulate_duration_near_the_float_maximum_writes_its_stamps(runner, tmp_
     assert times[-1] <= 1.7e308
 
 
+@pytest.mark.parametrize("duration, count", [("1.7e308", "inf"), ("1e300", "1.88e+302")],
+                         ids=["count_overflows", "count_past_array_limit"])
+def test_simulate_duration_past_the_array_limit_is_usage_error(runner, tmp_path, duration, count):
+    # ~190 detections a second: the first chunk's count passes what one array can hold
+    out = tmp_path / "ts.bin"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(cli, ["simulate", "--ri", "1e3", "--duration", duration,
+                                     "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"expects {count} detections" in result.output
+    assert f"the {inference.MAX_ARRAY_LENGTH} one array can hold" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", ["simple", "high"])
 def test_tabulate_at_subnormal_rate_is_usage_error(runner, tmp_path, model):
     # the mean 1/r_star overflows; a row of inf and a measured rate of 0 is no answer

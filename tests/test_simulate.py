@@ -578,6 +578,74 @@ def test_csv_reader_rounds_near_midpoints_correctly(tmp_path):
     assert np.array_equal(_read_both_ways(path).view(np.int64), expected.view(np.int64))
 
 
+def _one_layout(lines, cut=""):
+    """io._parse_one_layout on one read of lines and the start of a line it cut: None, or
+    its values and which are not redone."""
+    data = "".join(line + "\n" for line in lines).encode()
+    buf = np.frombuffer(data + cut.encode() + b"\n" * io._ROW, dtype=np.uint8)  # the slack
+    ends = np.flatnonzero(buf[:len(data)] == ord("\n"))
+    length = np.diff(ends, prepend=-1) - 1
+    parsed = io._parse_one_layout(buf, ends - length, length)
+    if parsed is None:
+        return None
+    t, redo = parsed
+    exact = np.ones(t.size, dtype=bool)
+    exact[redo] = False
+    return t, exact
+
+
+def _one_layout_blocks(rng):
+    """Sorted blocks of lines with the dot at column c, for c = 1..16."""
+    blocks = {}
+    for c in range(1, 17):
+        lines = []
+        for zeros in range(17 - c):  # the trailing zeros a line drops: none to all but one decimal
+            head = rng.integers(10 ** 15, 10 ** 16, 200) // 10 ** zeros
+            lines += [str(d) for d in (head * 10 + rng.integers(1, 10, 200)).tolist()]
+        lines = [d[:c] + "." + d[c:] for d in lines]
+        edges = [10.0 ** (c - 1), 10.0 ** c,
+                 *(2.0 ** e for e in range(54) if 10 ** (c - 1) <= 2 ** e < 10 ** c)]
+        for x in edges:
+            lines += [f"{y:.17g}" for y in (np.nextafter(x, 0), x, np.nextafter(x, np.inf))]
+        blocks[c] = [line for line in lines if line.find(".") == c and len(line) <= 18]
+    for line in _midpoint_lines(rng, 50):
+        if 1 <= line.find(".") <= 16 and len(line) <= 18:
+            blocks[line.find(".")].append(line)
+    return {c: sorted(lines, key=float) for c, lines in blocks.items()}
+
+
+def test_one_layout_kernel_is_exact_at_every_dot_column():
+    for c, lines in _one_layout_blocks(np.random.default_rng(37)).items():
+        parsed = _one_layout(lines)
+        assert parsed is not None, c  # the kernel took the block
+        t, exact = parsed
+        expected = np.array([float(line) for line in lines])
+        assert np.array_equal(t[exact].view(np.int64), expected[exact].view(np.int64)), c
+
+
+@pytest.mark.parametrize("line", ["12.34.5678", "+1.5", "-1.5", "12.3456789012345678", "12",
+                                  "1234", "1.5", "123.5", "12.5e-05"],
+                         ids=["second_dot", "plus", "minus", "19_bytes", "no_dot", "no_dot_long",
+                              "dot_before", "dot_after", "exponent"])
+def test_one_layout_kernel_declines_a_line_off_the_layout(tmp_path, line):
+    lines = [f"{x:.17g}" for x in np.sort(np.random.default_rng(41).uniform(10, 100, 1001))]
+    lines[500] = line
+    assert _one_layout(lines[:500] + lines[501:]) is not None
+    assert _one_layout(lines) is None
+    path = tmp_path / "ts.csv"
+    path.write_text("".join(x + "\n" for x in lines))
+    if line.count(".") > 1:
+        with pytest.raises(DegenerateDataError):
+            io.read_timestamps_csv(path)
+    else:
+        _read_both_ways(path)
+
+
+def test_one_layout_kernel_declines_a_line_shorter_than_its_dot_column():
+    # the byte at column 2 of the last line, "1", is a dot, but of the line the read cut
+    assert _one_layout(["12.25"] * 6 + ["1"], cut=".5") is None
+
+
 @pytest.mark.parametrize("content", [
     b"1.5\nnan\n2.5\n",
     b"1.5\ninf\n-inf\n",
