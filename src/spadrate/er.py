@@ -164,7 +164,10 @@ def er_profile(eta0: float, tau_r: float) -> nhpp.EfficiencyProfile:
 def er_cumulative_hazard(t, r_star: float, tau_r: float):
     """Integrated detection hazard r_star * (t - tau_r * (1 - exp(-t/tau_r)))."""
     _check_times(t)
-    return r_star * tau_r * _x_plus_expm1(np.asarray(t, dtype=float) / tau_r)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):  # past x ~ 1e16, x + expm1(-x) is x: H -> r_star t
+        x = t / tau_r
+    return np.where(np.isinf(x), r_star * t, r_star * tau_r * _x_plus_expm1(x))[()]
 
 
 def er_ccdf(t, r_star: float, tau_r: float):

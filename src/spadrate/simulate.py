@@ -42,10 +42,10 @@ __all__ = [
 
 _RNG_NAME = "numpy.random.PCG64"
 _SAMPLER = "inverse-hazard"
-# Draws per block: bounds the sampler's scratch memory whatever the number
-# of paralyzations per detection; larger blocks were both slower and bigger.
+# Draws per block: bounds scratch memory at any paralysis (larger blocks were slower and
+# bigger).  Each detection's paralysed sum is added block by block, so the size fixes the bytes.
 _BLOCK = 1 << 14
-# Paralysed segments one call may draw: ~25 s at 0.022-0.033 us per draw
+# Paralysed segments one call may draw: ~15-20 s at 0.014-0.019 us per draw
 # (30,000 events at 6e9 /s) on a 2-vCPU x86 VM.
 _MAX_PARALYZED_DRAWS = 1e9
 
@@ -118,14 +118,14 @@ def _inverse_hazard(g: np.ndarray) -> np.ndarray:
     regime runs over the whole array, its input clamped to its own side of
     ``_G_SERIES`` (unclamped, the series overflows near g = 1e300 and Newton
     divides 0 by 0 at g = 0); the other then overwrites its own values,
-    gathered by index.  A Newton value costs ~3x a series value, so the
-    series goes first unless at most a quarter of the array is below
-    ``_G_SERIES``.  Every value gets the same operations as when inverted
-    alone; the sampler passes one block of its draws at a time.
+    gathered by index.  Over a whole block a Newton value costs ~3.5x a series
+    value, and the two orders cost the same near a quarter of the array below
+    ``_G_SERIES``, so the series goes first unless at most a quarter is below.
+    Every value gets the same operations as when inverted alone, block by block.
     """
     series = g < _G_SERIES
     if 4 * np.count_nonzero(series) > g.size:
-        x = _reversion(np.minimum(g, _G_SERIES))
+        x = _reversion(g)
         rest = np.flatnonzero(~series)
         x[rest] = _newton(g[rest])
     else:
@@ -137,9 +137,10 @@ def _inverse_hazard(g: np.ndarray) -> np.ndarray:
 
 def _reversion(g: np.ndarray) -> np.ndarray:
     """The root below ``_G_SERIES`` (x < 0.1), s + s^2 R(s) with s = sqrt(2g), to 1 ulp."""
-    # in place: with one more 128 KiB temporary per sampler block, glibc's heap
-    # shrank and refaulted every block (~50k page faults at 6e9 /s, 30,000 events)
-    s = 2.0 * g
+    # clamped and in place: with one more 128 KiB temporary per sampler block, glibc's
+    # heap shrank and refaulted every block (~50k page faults at 6e9 /s, 30,000 events)
+    s = np.minimum(g, _G_SERIES)
+    s *= 2.0
     np.sqrt(s, out=s)
     y = s * _REVERSION[0]
     for c in _REVERSION[1:]:
@@ -156,9 +157,13 @@ def _newton(g: np.ndarray) -> np.ndarray:
     small = g < 2.0
     s = np.sqrt(2.0 * g[small])
     x[small] = s * (1.0 + s * (1.0 / 6.0 + s / 72.0))
-    for _ in range(3):
-        m = np.expm1(-x)
-        x -= (x + m - g) / -m
+    m, step = np.empty_like(g), np.empty_like(g)
+    for _ in range(3):  # x -= (x + m - g) / -m with m = expm1(-x), in place
+        np.expm1(np.negative(x, out=m), out=m)
+        np.add(x, m, out=step)
+        step -= g
+        step /= m
+        x += step
     return x
 
 
@@ -190,6 +195,7 @@ def _sample_on_times(
         raise ValueError(f"r_star*tau_r = {a:g} is too small to sample: the on-time draws "
                          f"overflow a float below r_star*tau_r = {lowest:.3g}")
     out = np.zeros(n)
+    draws = np.empty(_BLOCK)  # refilled by rng.random and rng.standard_exponential
     if h1 > 0:
         count = rng.geometric(np.exp(-h1), n) - 1
         ends = np.cumsum(count)
@@ -197,16 +203,29 @@ def _sample_on_times(
         p = -np.expm1(-h1)
         for start in range(0, int(ends[-1]), _BLOCK):
             stop = min(start + _BLOCK, int(ends[-1]))
-            # segment start + i belongs to detection first + owner[i], where
-            # owner[i] counts the detections first..last - 1 ended by then
+            # held: the detections of first..last with segments here, at most _BLOCK of them,
+            # in runs of their counts with the end runs clipped; bincount sums each from 0.0
             first, last = np.searchsorted(ends, [start, stop - 1], side="right")
-            owner = np.cumsum(np.bincount(ends[first:last] - start, minlength=stop - start))
-            seg = _inverse_hazard(-np.log1p(-p * rng.random(stop - start)) / a)
-            out[first:last + 1] += tau_r * np.bincount(owner, weights=seg)
+            held = first + np.flatnonzero(count[first:last + 1])
+            runs = count[held]
+            runs[0] = ends[first] - start
+            runs[-1] -= ends[last] - stop
+            u = rng.random(out=draws[:stop - start])
+            np.log1p(np.multiply(u, -p, out=u), out=u)  # -log1p(-p u) / a as log1p(-p u) / -a
+            u /= -a
+            seg = _inverse_hazard(u)  # then the labels, in scratch it freed (see _reversion)
+            owner = np.repeat(np.arange(runs.size), runs)
+            sums = np.bincount(owner, weights=seg)
+            sums *= tau_r
+            out[held] += sums
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        e = rng.standard_exponential(stop - start)
-        out[start:stop] += tau_r * _inverse_hazard((h1 + e) / a)
+        e = rng.standard_exponential(out=draws[:stop - start])
+        e += h1
+        e /= a
+        x = _inverse_hazard(e)
+        x *= tau_r  # in place: one more 128 KiB temporary made glibc refault the heap per block
+        out[start:stop] += x
     return out
 
 

@@ -728,6 +728,20 @@ def test_tabulate_paralyzing_rollover(runner, tmp_path):
     assert rates[-1] < rates[imax]
 
 
+def test_tabulate_window_past_float_range_over_tau_r(runner, tmp_path):
+    # tau_p1 / tau_r = 2e308 passes the float range, yet H(tau_p1) = r_star tau_p1 = 4.5:
+    # the detector is not fully paralysed, and the mean is (e^4.5 - 4.5) / r_star
+    mpmath = pytest.importorskip("mpmath")
+    out = tmp_path / "far.csv"
+    result = runner.invoke(cli, ["tabulate", "--from", "2.25e-298", "--to", "2.25e-298",
+                                 "--points", "1", "--tau-r", "1e-10", "--tau-d", "0",
+                                 "--tau-p1", "2e298", "--tau-p2", "0", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    with mpmath.workdps(40):
+        want = float((mpmath.e ** 4.5 - 4.5) / mpmath.mpf(2.25e-298))
+    assert _read_sweep(out)[0, 1] == pytest.approx(want, rel=1e-11)
+
+
 @pytest.mark.parametrize("args", [
     ["tabulate", "--from", "1e300", "--to", "1.7e308", "--points", "3", "--tau-r", "1e10"],
     ["tabulate", "--from", "1e-300", "--to", "1e-299", "--points", "2", "--tau-r", "1e-10"],

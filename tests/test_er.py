@@ -104,6 +104,29 @@ def test_hazard_linear_asymptote():
     )
 
 
+def test_hazard_where_t_over_tau_r_overflows():
+    # t / tau_r = 2e308 passes the float range while r_star * t = 4.5; x + expm1(-x)
+    # rounds to x from x ~ 1e16 on, so H = r_star * t, with no overflow warning
+    mpmath = pytest.importorskip("mpmath")
+    r_star, tau_r = 2.25e-298, 1e-10
+    t = np.array([1e-9, 2e298, 1e308, 0.0])
+    got = er.er_cumulative_hazard(t, r_star, tau_r)
+    with mpmath.workdps(40):
+        want = [r_star * (mpmath.mpf(v) - tau_r * -mpmath.expm1(-mpmath.mpf(v) / tau_r))
+                for v in t]
+    np.testing.assert_allclose(got, [float(w) for w in want], rtol=2.3e-16, atol=0)
+    assert got[1] == 4.5
+    assert er.er_cumulative_hazard(2e298, r_star, tau_r) == got[1]
+    assert er.er_cumulative_hazard(np.array(2e298), r_star, tau_r) == got[1]
+    # a finite t / tau_r keeps the bits of r_star * tau_r * (x + expm1(-x))
+    finite = r_star * tau_r * er._x_plus_expm1(t[[0, 3]] / tau_r)
+    assert got[[0, 3]].view(np.int64).tolist() == finite.view(np.int64).tolist()
+    assert er.er_cumulative_hazard(np.inf, r_star, tau_r) == np.inf
+    # only an infinite t / tau_r takes r_star * t: a nan one stays nan
+    assert np.isnan(er.er_cumulative_hazard(1e-9, 1e9, np.nan))
+    assert np.isnan(er.er_cumulative_hazard(np.array([1e-9, 2e298]), 1e9, np.nan)).all()
+
+
 def test_pdf_zero_at_zero():
     assert er.er_pdf(0.0, 5e7, TAU_R) == 0.0
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import re
@@ -245,6 +246,82 @@ def test_sampler_golden_bytes_with_newton_paralysed_blocks(paper_params):
     got = {name: hashlib.sha256(simulate.simulate(c).times.tobytes()).hexdigest()
            for name, c in configs.items()}
     assert got == _NEWTON_PARALYSED_DIGESTS
+
+
+def _sample_reference(rng, n, r_star, tau_r, paralyzing, block):
+    """_sample_on_times written plainly, with sized draws: each block of ``block``
+    paralysed segments adds tau_r times each detection's partial sum, summed from
+    0.0 in segment order; then each block of ``block`` detected segments."""
+    a = r_star * tau_r
+    h1 = float(er.er_cumulative_hazard(paralyzing.tau_p1, r_star, tau_r))
+    out = [0.0] * n
+    if h1 > 0:
+        count = rng.geometric(np.exp(-h1), n) - 1
+        out = [int(c) * paralyzing.tau_p2 for c in count]
+        owner = [j for j, c in enumerate(count) for _ in range(c)]
+        p = -np.expm1(-h1)
+        for start in range(0, len(owner), block):
+            owners = owner[start:start + block]
+            seg = simulate._inverse_hazard(-np.log1p(-p * rng.random(len(owners))) / a)
+            partial = {}
+            for j, x in zip(owners, seg.tolist()):
+                partial[j] = partial.get(j, 0.0) + x
+            for j, total in partial.items():
+                out[j] += tau_r * total
+    for start in range(0, n, block):
+        e = rng.standard_exponential(min(block, n - start))
+        for i, x in enumerate(simulate._inverse_hazard((h1 + e) / a).tolist()):
+            out[start + i] += tau_r * x
+    return np.array(out)
+
+
+def _assert_sampler_matches_reference(sample, rng, n, *args):
+    """Draw with ``sample`` and with the reference from one state: same bits, same stream."""
+    twin = copy.deepcopy(rng)
+    got = sample(rng, n, *args)
+    want = _sample_reference(twin, n, *args, simulate._BLOCK)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert rng.bit_generator.state == twin.bit_generator.state
+    return got
+
+
+# r_star*tau_r = 10 and tau_p1 = 0.6 tau_r: H(tau_p1) ~ 1.49, ~3.4 paralysed
+# segments per detection, a fifth of the detections with none; the segments
+# take both the reversion series and Newton
+_REFERENCE_PARALYZING = ParalyzingParams(tau_p1=0.6 * 112.5e-9, tau_p2=27e-9)
+
+
+@pytest.mark.parametrize("n, seed", [(300, 4), (5, 1)], ids=["blocks", "n_below_block"])
+def test_sampler_blocks_match_plain_reference(paper_params, monkeypatch, n, seed):
+    monkeypatch.setattr(simulate, "_BLOCK", 8)
+    r_star, tau_r = 10.0 / paper_params.tau_r, paper_params.tau_r
+    _assert_sampler_matches_reference(simulate._sample_on_times, np.random.default_rng(seed),
+                                      n, r_star, tau_r, _REFERENCE_PARALYZING)
+    h1 = er.er_cumulative_hazard(_REFERENCE_PARALYZING.tau_p1, r_star, tau_r)
+    count = np.random.default_rng(seed).geometric(np.exp(-h1), n) - 1
+    ends = np.cumsum(count)
+    if n > 8:
+        # detections with no segment where a block ends, a detection over at
+        # least three blocks, and a short last block
+        assert np.any((count == 0) & (ends % 8 == 0) & (ends > 0) & (ends < ends[-1]))
+        assert np.max((ends - 1) // 8 - (ends - count) // 8) >= 2
+        assert ends[-1] % 8 != 0
+
+
+def test_duration_stop_chunks_match_plain_reference(paper_params, monkeypatch):
+    # every chunk of the duration loop, each a call with its own draw buffer
+    monkeypatch.setattr(simulate, "_BLOCK", 8)
+    sample, sizes = simulate._sample_on_times, []
+
+    def checked(rng, n, *args):
+        sizes.append(n)
+        return _assert_sampler_matches_reference(sample, rng, n, *args)
+
+    monkeypatch.setattr(simulate, "_sample_on_times", checked)
+    config = _config(paper_params, 10.0 / paper_params.tau_r, duration=0.05,
+                     paralyzing=_REFERENCE_PARALYZING)
+    assert simulate.simulate(config).times.size > 0
+    assert sizes and min(sizes) >= 1024
 
 
 def _reversion_coefficients(n):
