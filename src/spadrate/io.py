@@ -2,8 +2,9 @@
 
 Timestamps are CSV, one exact ``%.17g`` line each, or binary: a 16-byte
 header (magic, version, count), then little-endian float64 values.  CSV lines
-are formed and parsed by numpy word arithmetic, a block at a time, and by
-constant shifts and masks in blocks of one layout, as most of a sorted stream.
+are formed by numpy word arithmetic, a block at a time, and parsed by one
+kernel of constant shifts and masks over lines of one layout: a whole read of a
+sorted stream, or each layout of a read in turn.
 Histograms are v2 CSV, or dense v1 when read.  A malformed file raises
 :class:`DegenerateDataError` naming the path.
 """
@@ -72,22 +73,17 @@ _POW10 = np.array([float(10 ** k) for k in range(16 - _E_MIN + 1)])
 _SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp: splits a double into two 26-bit halves
 _TEMPLATE, _WIDTH, _ADD = _line_templates()
 
-_ROW = 24  # bytes the reader takes in before each newline; the writer's lines have at most 22
+_ROW = 24  # bytes gathered from each line, and the longest line read; the writer's have 22
 # Bytes per read of the CSV reader, ~7k lines of ~19 bytes, whose temporaries
 # (~110-145 bytes a line) stay on the heap after the read.  Against 2**17, 2**18
 # read 1e6 lines ~6% faster alone, not in `characterize`, and raised its peak RSS
 # by ~0.8 MiB; 2**16 was ~17% slower alone and ~8% in `characterize`.
 _READ = 1 << 17
-_DOTS = _U(0x2E2E2E2E2E2E2E2E)
 _ZEROS = _U(0x3030303030303030)
 _SEVENTY_SIXES = _U(0x7676767676767676)
-_LOW_BITS = _U(0x7F7F7F7F7F7F7F7F)
 _HIGH_BITS = _U(0x8080808080808080)
 _EXPONENT = _U(0x7FF0000000000000)
 _MANTISSA = _U((1 << 52) - 1)
-# Byte b of word w times these, top byte: the dot's distance s from the row end.
-_DOT_POSITION = np.array([[0x1817161514131211], [0x100F0E0D0C0B0A09], [0x0807060504030201]],
-                         dtype=_U)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,75 +179,9 @@ def write_timestamps_csv(path, series: TimestampSeries) -> None:
             fh.write(_format_lines(times[start:start + _BLOCK]))
 
 
-def _row_masks() -> tuple[np.ndarray, ...]:
-    """Byte masks of the CSV reader, as three little-endian words each.
-
-    A row is the ``_ROW`` bytes before a line's newline, so a line of L
-    bytes fills its last L.  ``content[:, L]`` flags those bytes with 0x80.
-    ``left``, ``right`` and ``fill`` are indexed by (_ROW + 2) * L + s,
-    where the line's dot is s bytes from its end (s = 0: no dot).  ``left``
-    and ``right`` keep the line's bytes before and after the dot; shifting
-    the left ones one byte on closes the gap, and ``fill`` puts ASCII zeros
-    in front of the digits.  A dot outside the line, or a line left without
-    digits, gets a fill of 0xFF bytes, which no digit test passes.
-    """
-    length = np.arange(_ROW + 1)[:, None, None]
-    s = np.arange(_ROW + 2)[:, None]
-    col = np.arange(_ROW)
-    inline = col >= _ROW - length
-    dot = np.where(s > 0, _ROW - s, -1)
-    n_digits = length - (s > 0)
-
-    def words(mask):
-        mask = np.broadcast_to(mask, inline.shape[:1] + s.shape[:1] + col.shape)
-        return np.moveaxis((mask * np.uint8(0xFF)).view("<u8"), -1, 0).reshape(3, -1)
-
-    fill = words(col < _ROW - n_digits) & _ZEROS
-    fill[:, ((s > length) | (n_digits < 1)).ravel()] = ~_U(0)
-    content = words(inline)[:, ::_ROW + 2] & _HIGH_BITS
-    return words(inline & (col < dot) & (s > 0)), words(inline & (col > dot)), fill, content
-
-
-_LEFT, _RIGHT, _FILL, _CONTENT = _row_masks()
-_WORD_STARTS = np.arange(0, _ROW, 8)[:, None]  # from a line's start to its three words
 _KEEP = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=_U)  # a word's low n bytes
-# Column L: the bytes of each word that hold the L - 1 digits of a line of L bytes, dot closed up
-_DIGITS_KEPT = _KEEP.take(np.clip(np.arange(_ROW + 1) - 1 - _WORD_STARTS, 0, 8))
-
-
-def _dot_offsets(x: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Distance s of each line's dot from its end, 0 for none, from SWAR zero-byte tests."""
-    y = x ^ _DOTS
-    dots = y & _LOW_BITS
-    dots += _LOW_BITS
-    dots |= y
-    np.invert(dots, out=dots)
-    dots &= _CONTENT.take(length, axis=1)  # 0x80 where a byte of the line is "."
-    dots >>= _U(7)
-    dots *= _DOT_POSITION
-    dots >>= _U(56)
-    s = dots[0] + dots[1] + dots[2]  # several dots leave s wrong, caught by the digit test
-    return np.minimum(s, _U(_ROW + 1)).astype(np.intp)
-
-
-def _mantissas(x: np.ndarray, i: np.ndarray) -> np.ndarray | None:
-    """The digits of each row with its dot closed up, as an integer below 10**17, or None.
-
-    Overwrites the words x.  ``i`` indexes the row masks of ``_row_masks``.
-    """
-    left = x & _LEFT.take(i, axis=1)
-    x &= _RIGHT.take(i, axis=1)
-    x |= _FILL.take(i, axis=1)
-    x[1:] |= left[:-1] >> _U(56)
-    left <<= _U(8)
-    x |= left
-    x ^= _ZEROS  # digits become bytes 0-9; adding 0x76 sets the high bit of any other byte
-    if np.any((x + _SEVENTY_SIXES | x) & _HIGH_BITS):
-        return None
-    _eight_digits(x)
-    if x[0].max() > 9:  # more than 17 digits
-        return None
-    return (x[0] * _U(10 ** 16) + x[1] * _U(10 ** 8) + x[2]).view(np.int64)
+# Column n: the bytes of each of three words that hold the first n of their 24 bytes
+_DIGITS_KEPT = _KEEP.take(np.clip(np.arange(_ROW + 1) - np.arange(0, _ROW, 8)[:, None], 0, 8))
 
 
 def _eight_digits(x: np.ndarray) -> None:
@@ -268,43 +198,15 @@ def _eight_digits(x: np.ndarray) -> None:
     x >>= _U(32)
 
 
-def _parse_rows(x: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Values of the lines whose rows are the columns of x, or None if one is outside the grammar.
+def _divide(m: np.ndarray, p10: float) -> tuple[np.ndarray, np.ndarray]:
+    """t = m / p10 for integers 0 <= m < 10**17 and a power of ten p10 <= 1e22, and the t to redo.
 
-    The grammar is the writer's: digits with at most one dot, optionally
-    followed by ``e-0N``, at most 17 significant digits and 22 decimals.
-    The line is checked and its digits M found with SWAR tests on the
-    words; then t = M / 10**k as in _format_lines, run backwards.  With
-    Mh + Ml = M exactly and P = 10**k, q1 = Mh / P leaves a remainder
-    Mh - q1 * P that Dekker's product makes exact, and q1 plus the
-    remainder (with Ml) over P is t correctly rounded unless t lies within
-    ~2**-51 ulp of a rounding midpoint.  Lines within 2**-40 ulp of one, or
-    at a power of two where the ulp changes, are returned for ``float``.
+    This is _format_lines run backwards.  With mh + ml = m exactly, q1 = mh / p10
+    leaves a remainder mh - q1 * p10 that Dekker's product makes exact, and q1
+    plus the remainder (with ml) over p10 is t correctly rounded unless t lies
+    within ~2**-51 ulp of a rounding midpoint.  The t within 2**-40 ulp of one,
+    or at a power of two where the ulp changes, are returned for ``float``.
     """
-    suffix = x[2] >> _U(32)
-    exp = np.flatnonzero((suffix & _U(0xFFFFFF)) == _U(0x302D65))  # "e-0", ends the row
-    k = np.zeros(length.size, dtype=np.intp)
-    if exp.size:  # drop the exponent: the mantissa ends the row
-        digit = (suffix[exp] >> _U(24)) - _U(ord("0"))
-        if digit.max() > _U(9):
-            return None
-        k[exp] = digit
-        length = length.copy()
-        length[exp] -= 4
-        rows = x[:, exp]
-        x[:, exp] = rows << _U(32)
-        x[1:, exp] |= rows[:-1] >> _U(32)
-    del suffix
-    s = _dot_offsets(x, length)
-    m = _mantissas(x, (_ROW + 2) * length + s)
-    k += s - (s > 0)
-    if m is None or k.max() > 16 - _E_MIN:
-        return None
-    return _divide(m, _POW10.take(k))
-
-
-def _divide(m: np.ndarray, p10) -> tuple[np.ndarray, np.ndarray]:
-    """t = m / p10 as ``_parse_rows`` explains, p10 an array or a scalar, and the t to redo."""
     mh = m.astype(float)
     ml = (m - mh.astype(np.int64)).astype(float)
     q1 = mh / p10
@@ -323,49 +225,107 @@ def _divide(m: np.ndarray, p10) -> tuple[np.ndarray, np.ndarray]:
 
 def _parse_one_layout(buf: np.ndarray, starts: np.ndarray,
                       length: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``_parse_rows`` for lines at ``starts`` in buf, or None unless each has at most 18 bytes
-    and its dot at one column c, 1 <= c <= 16, as in most reads of sorted stamps.
+    """Values of the lines at ``starts`` in buf and which to redo (``_divide``), or None
+    unless every line has the layout inferred from the first.
 
-    Gathered from their starts, all lines close the dot gap by the same shifts;
-    the bytes after their L - 1 digits, cleared to digit 0, pad them to 17
-    digits M = t * 10**(17 - c), divided by one scalar 10**(17 - c).
+    A layout is 1-17 digits: with a dot at one column c >= 1, without a dot in lines
+    of one length, or after ``0.`` and z zeros, skipped if a line is longer than 18
+    bytes; then nothing or one suffix ``e-0N``.  Every line is checked for these.
+    Gathered from after the skipped bytes, all lines close the dot gap by the same
+    shifts; the bytes after their digits, cleared to digit 0, pad them to 17 digits
+    M = t * 10**k, divided by one scalar 10**k <= 1e22.
     """
-    c = buf[starts[0]:starts[0] + length[0]].tobytes().find(b".")
-    if not (1 <= c <= 16 and length.max() <= 18 and length.min() > c
-            and np.all(buf.take(starts + c) == ord("."))):
+    shortest, longest = length.min(), length.max()
+    first = buf[starts[0]:starts[0] + length[0]].tobytes()
+    mantissa, exponent, power = first.partition(b"e-0")
+    c = mantissa.find(b".")
+    skip = 0
+    if mantissa[:2] == b"0." and longest > 18:
+        skip = len(mantissa) - len(mantissa[2:].lstrip(b"0"))
+        c, low, high, k = -1, 0, 17, 15 + skip
+    elif c > 0:
+        low, high, k = c, 17, 17 - c
+    elif c < 0 and mantissa:
+        low, high, k = len(mantissa), len(mantissa), 17 - len(mantissa)
+    else:
+        return None
+    if exponent and not (len(power) == 1 and power.isdigit()):
+        return None
+    k += int(power or 0)
+    fixed = len(first) - len(mantissa) + skip + (c > 0)  # the bytes of a line but its digits
+    if not (0 <= k <= 22 and low <= shortest - fixed and longest - fixed <= high):
+        return None
+    if c > 0 and not np.all(buf.take(starts + c) == ord(".")):
         return None
     words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
-    x = words[starts + _WORD_STARTS]
-    # the c bytes before the dot, the digits of a line of c + 1 bytes, stay; the rest move down one
-    after = x >> _U(8)
-    after[:2] |= x[1:] << _U(56)
-    after ^= x
-    after &= ~_DIGITS_KEPT[:, c + 1:c + 2]
-    x ^= after
-    del after
+    suffix = starts + length - 4 if exponent else None
+    for at, text in ((starts, first[:skip]), (suffix, first[len(mantissa):])):
+        if text and np.any((words[at] & _KEEP[len(text)]) != _U(int.from_bytes(text, "little"))):
+            return None
+    # the 24 bytes from each line's digits on: one record each, copied faster than three words
+    rows = np.ndarray((buf.size - 23,), dtype="V24", buffer=buf, strides=(1,))
+    x = rows[starts + skip].view(_U).reshape(-1, 3).T.copy()
+    if c > 0:  # the c bytes before the dot stay; the rest move down one
+        after = x >> _U(8)
+        after[:2] |= x[1:] << _U(56)
+        after ^= x
+        after &= ~_DIGITS_KEPT[:, c:c + 1]
+        x ^= after
+        del after
     x ^= _ZEROS
-    x &= _DIGITS_KEPT.take(length, axis=1)
+    x &= _DIGITS_KEPT.take(length - fixed, axis=1)
     if np.any((x + _SEVENTY_SIXES | x) & _HIGH_BITS):  # a byte other than a digit
         return None
     _eight_digits(x[:2])
-    return _divide((x[0] * _U(10 ** 9) + x[1] * _U(10) + x[2]).view(np.int64), 10.0 ** (17 - c))
+    return _divide((x[0] * _U(10 ** 9) + x[1] * _U(10) + x[2]).view(np.int64), _POW10[k])
+
+
+def _parse_layouts(buf: np.ndarray, starts: np.ndarray,
+                   length: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_parse_one_layout`` on each layout of a read in turn, or None if it declines one.
+
+    A line's key is its dot column, or its length if it has no dot; how many of
+    its first bytes match ``0.000000``; and the last byte of an ``e-0N`` suffix.
+    Lines of one key share the layout that ``_parse_one_layout`` infers.
+    """
+    ends = starts + length
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    head = words[starts] ^ _U(int.from_bytes(b"0.000000", "little")) | _U(1 << 63)
+    head &= -head  # the lowest bit of the first byte that differs
+    zeros = (head.astype(float).view(np.int64) >> 52) - 1023 >> 3
+    suffix = np.where(buf.take(ends - 4) == ord("e"), buf.take(ends - 1) & 31, 0)
+    column = length + 32
+    dots = np.flatnonzero(buf[starts[0]:ends[-1]] == ord(".")) + starts[0]
+    line = np.searchsorted(ends, dots)
+    column[line] = dots - starts[line]
+    key = (column << 8 | zeros << 5 | suffix).astype(np.uint16)
+    del ends, head, zeros, suffix, column, dots, line
+    order = np.argsort(key, kind="stable")
+    t = np.empty(starts.size)
+    redo = []
+    for lines in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        parsed = _parse_one_layout(buf, starts[lines], length[lines])
+        if parsed is None:
+            return None
+        t[lines] = parsed[0]
+        redo.append(lines[parsed[1]])
+    return t, np.concatenate(redo)
 
 
 def _parse_csv(fh) -> np.ndarray | None:
     """Timestamps of an open CSV file in the writer's grammar, or None for any other file.
 
     Reads ``_READ`` bytes at a time after a carry of the last partial line,
-    with ``_ROW`` bytes to spare after them for the words of the last line;
+    with ``_ROW`` bytes to spare after them for the bytes gathered from the last line;
     every line ends in a newline and is at most ``_ROW`` bytes long.  A read
-    whose lines share one layout goes to ``_parse_one_layout``, any other to
-    ``_parse_rows``.  The result is allocated at a guess of 16 bytes per
-    line, one large block rather than a heap block grown from nothing, and
-    resized in place to the line count that the bytes read so far predict.
+    goes to ``_parse_one_layout`` whole, as most reads of a sorted stream
+    share one layout, and otherwise split by ``_parse_layouts``.  The result
+    is allocated at a guess of 16 bytes per line, one large block rather than
+    a heap block grown from nothing, and resized in place to the line count
+    that the bytes read so far predict.
     """
     unread = os.fstat(fh.fileno()).st_size
     buf = np.full(3 * _ROW + _READ, ord("\n"), dtype=np.uint8)
-    # the unaligned little-endian word at every byte offset of buf
-    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
     times = np.empty(unread // 16 + 1)
     n = 0
     carry = 0
@@ -379,7 +339,7 @@ def _parse_csv(fh) -> np.ndarray | None:
         if length.min() < 1 or length.max() > _ROW:
             return None
         parsed = (_parse_one_layout(buf, ends - length, length)
-                  or _parse_rows(words[ends + (_WORD_STARTS - _ROW)], length))
+                  or _parse_layouts(buf, ends - length, length))
         if parsed is None:
             return None
         t, redo = parsed

@@ -9,10 +9,18 @@ synthesis by exact CDF differences plus a multinomial draw.
 import numpy as np
 from scipy import integrate, optimize
 
-from spadrate import er
+from spadrate import er, simulate
 from spadrate.inference import IntervalHistogram
 
 PAPER = er.ErParams(eta0=0.19117, tau_d=80.09205e-6, tau_r=112.5e-9)
+
+
+def sim_config(params, r_star, **kw):
+    return simulate.SimConfig(
+        er=params,
+        source=er.SourceParams(photon_rate=r_star / params.eta0),
+        **kw,
+    )
 
 
 def hazard_time(r_star: float, tau_r: float, hazard: float) -> float:

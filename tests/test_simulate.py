@@ -1,8 +1,6 @@
 import copy
 import hashlib
 import math
-import re
-import struct
 import warnings
 from fractions import Fraction
 
@@ -11,17 +9,9 @@ import pytest
 from scipy import stats
 
 import helpers
+from helpers import sim_config as _config
 from spadrate import er, io, simulate
-from spadrate.exceptions import DegenerateDataError
 from spadrate.paralyzing import ParalyzingParams
-
-
-def _config(params, r_star, **kw):
-    return simulate.SimConfig(
-        er=params,
-        source=er.SourceParams(photon_rate=r_star / params.eta0),
-        **kw,
-    )
 
 
 def test_config_requires_exactly_one_stop(paper_params):
@@ -514,279 +504,6 @@ def test_duration_stop(paper_params):
     assert series.times[-1] <= duration
     expected = duration / (paper_params.tau_d + er.er_mean_on_time(1e6, paper_params.tau_r))
     assert abs(series.times.size - expected) < 5 * np.sqrt(expected)
-
-
-def test_csv_round_trip(paper_params, tmp_path):
-    series = simulate.simulate(_config(paper_params, 1e6, n_events=500, seed=19))
-    path = tmp_path / "ts.csv"
-    io.write_timestamps_csv(path, series)
-    back = io.read_timestamps_csv(path)
-    np.testing.assert_array_equal(back, series.times)
-
-
-def test_csv_reader_grows_past_its_first_guess(tmp_path):
-    # lines of 2-7 bytes: the first allocation, 16 bytes a line, is too small
-    times = np.arange(1.0, 300_001.0)
-    path = tmp_path / "ts.csv"
-    io.write_timestamps_csv(path, simulate.TimestampSeries(times))
-    assert path.stat().st_size // 16 + 1 < times.size
-    with open(path, "rb") as fh:
-        back = io._parse_csv(fh)
-    np.testing.assert_array_equal(back.view(np.int64), times.view(np.int64))
-
-
-def _g17_lines(x):
-    return "".join(f"{t:.17g}\n" for t in x.tolist()).encode()
-
-
-def _halfway_values(rng, per_exponent=2000):
-    """Values t with E = floor(log10 t) whose t * 10**(16 - E) ends in exactly 1/2."""
-    out = []
-    for e in range(-6, 16):
-        scale = 2.0 ** (17 - e)  # odd / 2**(17 - e) times 10**(16 - e) is odd * 5**(16 - e) / 2
-        lo, hi = 10.0 ** e * scale, min(10.0 ** (e + 1) * scale, 2.0 ** 53)
-        out.append((rng.integers(lo // 2, hi // 2, per_exponent) * 2 + 1) / scale)
-    return np.concatenate(out)
-
-
-def test_line_kernel_matches_fstring():
-    rng = np.random.default_rng(23)
-    powers = np.array([float(f"1e{e}") for e in range(-6, 18)])
-    grid = np.array([float(f"{d}e{e - 16}") for d, e in zip(
-        rng.integers(10 ** 16, 10 ** 17, 20_000).tolist(), rng.integers(-6, 17, 20_000).tolist())])
-    values = np.concatenate([
-        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
-        grid, np.nextafter(grid, 0), np.nextafter(grid, np.inf),
-        _halfway_values(rng),
-        10 ** rng.uniform(-6, 17, 100_000),
-    ])
-    exact = values[(values > 1e-6) & (values < 1e17)]
-    assert exact.size > 0.99 * values.size
-    assert io._format_lines(exact).split(b"\n") == _g17_lines(exact).split(b"\n")
-    # sorted blocks mostly hold one decimal exponent, as timestamp blocks do
-    for block in np.array_split(np.sort(exact), 200):
-        assert io._format_lines(block) == _g17_lines(block)
-    # one value outside (1e-6, 1e17) sends the block through the f-string
-    mixed = np.concatenate([[0.0, 5e-7, 1e-6, 1e17, 3e20, -1.5], exact[:1000]])
-    assert io._format_lines(mixed) == _g17_lines(mixed)
-
-
-def _loadtxt(path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an empty file
-        return np.loadtxt(path, dtype=float, ndmin=1)
-
-
-def _read_both_ways(path):
-    """read_timestamps_csv of path, checked bit for bit against np.loadtxt."""
-    back = io.read_timestamps_csv(path)
-    assert back.shape == _loadtxt(path).shape
-    assert np.array_equal(back.view(np.int64), _loadtxt(path).view(np.int64))
-    return back
-
-
-def _decimal_line(digits, e):
-    """%.17g's layout of the decimal digits[0].digits[1:] * 10**e, for -6 <= e <= 16."""
-    digits = digits.rstrip("0") or "0"
-    if e >= 0:
-        whole, fraction = digits[:e + 1].ljust(e + 1, "0"), digits[e + 1:]
-        return whole + ("." + fraction if fraction else "")
-    if e >= -4:
-        return "0." + "0" * (-e - 1) + digits
-    return digits[0] + ("." + digits[1:] if digits[1:] else "") + f"e-0{-e}"
-
-
-def _midpoint_lines(rng, per_exponent):
-    """17-digit decimals at and within one unit of midpoints between adjacent doubles."""
-    lines = []
-    for e in range(-6, 17):
-        for x in 10 ** rng.uniform(e, e + 1, per_exponent):
-            if not 10.0 ** e <= x < 10.0 ** (e + 1):
-                continue
-            mid = (Fraction(x) + Fraction(np.nextafter(x, np.inf))) / 2
-            closest = round(mid * Fraction(10) ** (16 - e))
-            lines += [_decimal_line(str(d), e) for d in (closest - 1, closest, closest + 1)
-                      if 10 ** 16 <= d < 10 ** 17]
-    # integers that are exact midpoints: odd above 2**53, 2 mod 4 above 2**54, ...
-    for j in range(4):
-        low, high = 2 ** (53 + j), min(2 ** (54 + j), 10 ** 17)
-        step = 2 ** (j + 1)
-        lines += [str(d) for d in (rng.integers(low // step, high // step, per_exponent) * step
-                                   + step // 2).tolist()]
-    # D / 10**k in [2**e, 2**(e+1)) a distance |d| / (2 * 5**k) ulp, down to 2**-52 ulp, from a
-    # midpoint: D * 2**n = odd * 10**k + 2**k * d with n = 53 - e, solved modulo 5**k
-    for k in range(10, 23):
-        for e in range(math.ceil((16 - k) * math.log2(10)), math.floor((17 - k) * math.log2(10))):
-            n = 53 - e
-            for d in (1, -1, 3, -3, 1000):
-                first = -(-10 ** k // 2 ** -e) if e < 0 else 2 ** e * 10 ** k
-                first += (d * pow(2 ** (n - k), -1, 5 ** k) - first) % 5 ** k
-                odd = [D for D in range(first, first + 2 * 5 ** k, 5 ** k)
-                       if (D * 2 ** n - 2 ** k * d) // 10 ** k % 2]
-                lines += [_decimal_line(str(D), 16 - k) for D in odd[:1]
-                          if 10 ** 16 <= D < 10 ** 17 and D * 2 ** n < 2 ** 54 * 10 ** k]
-    return lines
-
-
-def test_csv_reader_is_exact_on_the_writer_lines(tmp_path):
-    rng = np.random.default_rng(29)
-    powers = np.array([float(f"1e{e}") for e in range(-5, 17)])
-    values = np.concatenate([
-        _halfway_values(rng),
-        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
-        np.sort(10 ** rng.uniform(-6, 17, 200_000)),
-    ])
-    values = values[(values > 1e-6) & (values < 1e17)]
-    path = tmp_path / "ts.csv"
-    path.write_bytes(b"".join(io._format_lines(block)
-                              for block in np.array_split(values, 100)))
-    with open(path, "rb") as fh:
-        assert io._parse_csv(fh) is not None  # the parser, not the fallback, read it
-    assert np.array_equal(_read_both_ways(path).view(np.int64), values.view(np.int64))
-
-
-def test_csv_reader_rounds_near_midpoints_correctly(tmp_path):
-    lines = _midpoint_lines(np.random.default_rng(31), 500)
-    path = tmp_path / "mid.csv"
-    path.write_text("".join(line + "\n" for line in lines))
-    with open(path, "rb") as fh:
-        assert io._parse_csv(fh) is not None
-    expected = np.array([float(line) for line in lines])
-    assert np.array_equal(_read_both_ways(path).view(np.int64), expected.view(np.int64))
-
-
-def _one_layout(lines, cut=""):
-    """io._parse_one_layout on one read of lines and the start of a line it cut: None, or
-    its values and which are not redone."""
-    data = "".join(line + "\n" for line in lines).encode()
-    buf = np.frombuffer(data + cut.encode() + b"\n" * io._ROW, dtype=np.uint8)  # the slack
-    ends = np.flatnonzero(buf[:len(data)] == ord("\n"))
-    length = np.diff(ends, prepend=-1) - 1
-    parsed = io._parse_one_layout(buf, ends - length, length)
-    if parsed is None:
-        return None
-    t, redo = parsed
-    exact = np.ones(t.size, dtype=bool)
-    exact[redo] = False
-    return t, exact
-
-
-def _one_layout_blocks(rng):
-    """Sorted blocks of lines with the dot at column c, for c = 1..16."""
-    blocks = {}
-    for c in range(1, 17):
-        lines = []
-        for zeros in range(17 - c):  # the trailing zeros a line drops: none to all but one decimal
-            head = rng.integers(10 ** 15, 10 ** 16, 200) // 10 ** zeros
-            lines += [str(d) for d in (head * 10 + rng.integers(1, 10, 200)).tolist()]
-        lines = [d[:c] + "." + d[c:] for d in lines]
-        edges = [10.0 ** (c - 1), 10.0 ** c,
-                 *(2.0 ** e for e in range(54) if 10 ** (c - 1) <= 2 ** e < 10 ** c)]
-        for x in edges:
-            lines += [f"{y:.17g}" for y in (np.nextafter(x, 0), x, np.nextafter(x, np.inf))]
-        blocks[c] = [line for line in lines if line.find(".") == c and len(line) <= 18]
-    for line in _midpoint_lines(rng, 50):
-        if 1 <= line.find(".") <= 16 and len(line) <= 18:
-            blocks[line.find(".")].append(line)
-    return {c: sorted(lines, key=float) for c, lines in blocks.items()}
-
-
-def test_one_layout_kernel_is_exact_at_every_dot_column():
-    for c, lines in _one_layout_blocks(np.random.default_rng(37)).items():
-        parsed = _one_layout(lines)
-        assert parsed is not None, c  # the kernel took the block
-        t, exact = parsed
-        expected = np.array([float(line) for line in lines])
-        assert np.array_equal(t[exact].view(np.int64), expected[exact].view(np.int64)), c
-
-
-@pytest.mark.parametrize("line", ["12.34.5678", "+1.5", "-1.5", "12.3456789012345678", "12",
-                                  "1234", "1.5", "123.5", "12.5e-05"],
-                         ids=["second_dot", "plus", "minus", "19_bytes", "no_dot", "no_dot_long",
-                              "dot_before", "dot_after", "exponent"])
-def test_one_layout_kernel_declines_a_line_off_the_layout(tmp_path, line):
-    lines = [f"{x:.17g}" for x in np.sort(np.random.default_rng(41).uniform(10, 100, 1001))]
-    lines[500] = line
-    assert _one_layout(lines[:500] + lines[501:]) is not None
-    assert _one_layout(lines) is None
-    path = tmp_path / "ts.csv"
-    path.write_text("".join(x + "\n" for x in lines))
-    if line.count(".") > 1:
-        with pytest.raises(DegenerateDataError):
-            io.read_timestamps_csv(path)
-    else:
-        _read_both_ways(path)
-
-
-def test_one_layout_kernel_declines_a_line_shorter_than_its_dot_column():
-    # the byte at column 2 of the last line, "1", is a dot, but of the line the read cut
-    assert _one_layout(["12.25"] * 6 + ["1"], cut=".5") is None
-
-
-@pytest.mark.parametrize("content", [
-    b"1.5\nnan\n2.5\n",
-    b"1.5\ninf\n-inf\n",
-    b"1.5\r\n2.5\r\n",
-    b"1.5\n2.5",
-    b"# header\n1.5\n2.5 # note\n",
-    b"1.5\n\n2.5\n",
-    b"-1.5\n+2.5\n",
-    b" 1.5\n2.5 \n",
-    b"0\n1e+17\n9.9999999999999995e-07\n",
-    b"1e5\n1E-05\n1.5e-05\n",
-    b"123456789012345678\n",
-    b"0.000000000000000000000012345\n",
-], ids=["nan", "inf", "crlf", "no_final_newline", "comments", "blank_line", "signs", "spaces",
-        "fstring_lines", "other_exponents", "18_digits", "long_line"])
-def test_csv_reader_falls_back_to_loadtxt(tmp_path, content):
-    path = tmp_path / "ts.csv"
-    path.write_bytes(content)
-    with open(path, "rb") as fh:
-        assert io._parse_csv(fh) is None
-    assert _read_both_ways(path).size > 0
-
-
-def test_csv_reader_empty_file(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_bytes(b"")
-    assert _read_both_ways(path).size == 0
-
-
-def test_binary_round_trip(paper_params, tmp_path):
-    series = simulate.simulate(_config(paper_params, 1e6, n_events=500, seed=20))
-    path = tmp_path / "ts.bin"
-    io.write_timestamps_binary(path, series)
-    back = io.read_timestamps_binary(path)
-    np.testing.assert_array_equal(back, series.times)
-
-
-def test_binary_rejects_corruption(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 12)
-    with pytest.raises(ValueError):
-        io.read_timestamps_binary(path)
-    path.write_bytes(b"\x01")
-    with pytest.raises(ValueError):
-        io.read_timestamps_binary(path)
-
-
-@pytest.mark.parametrize("name, content", [
-    ("text.csv", b"1e-4\nabc\n"),
-    ("magic.bin", b"NOPE" + struct.pack("<IQ", 1, 0)),
-    ("header.bin", b"SPTS"),
-    ("payload.bin", b"SPTS" + struct.pack("<IQ", 1, 3) + np.zeros(2).tobytes()),
-    ("version.bin", b"SPTS" + struct.pack("<IQ", 2, 0)),
-    ("count.bin", b"SPTS" + struct.pack("<IQ", 1, 2**63) + np.zeros(2).tobytes()),
-], ids=["text_row", "bad_magic", "truncated_header", "truncated_payload", "bad_version",
-        "count_past_memory"])
-def test_malformed_timestamp_file_is_degenerate_data(tmp_path, name, content):
-    # the CLI maps DegenerateDataError to exit 3 and any other ValueError to exit 2
-    path = tmp_path / name
-    path.write_bytes(content)
-    with pytest.raises(DegenerateDataError, match=re.escape(str(path))):
-        io.read_timestamps(path)
-    with pytest.raises(ValueError):
-        io.read_timestamps(path)
 
 
 @pytest.mark.parametrize("times", [[1.0, 0.5], [1.0, 1.0], [1.0, np.nan]],
