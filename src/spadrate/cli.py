@@ -9,14 +9,17 @@ simulate manifest records).
 
 Exit codes follow the exception type: 0 success, 2 usage or configuration
 error (any ValueError not listed for 3), 3 a malformed input file, a numeric
-or fit failure, or running out of memory, 4 I/O failure.
+or fit failure, or running out of memory, 4 I/O failure, including a
+``simulate --events`` whose file cannot fit on its disk.
 """
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -187,15 +190,32 @@ def cmd_simulate(**kw):
         duration=kw["duration"],
         seed=kw["seed"],
     )
-    series = simulate.simulate(config)
-
+    blocks = simulate._stamp_blocks(config)
     out = _out_path(kw["out"], f"timestamps.{kw['fmt']}")
+    if config.n_events is not None:
+        _check_room(out, config.n_events, kw["fmt"])
     if kw["fmt"] == "csv":
-        io.write_timestamps_csv(out, series)
+        count = io.write_timestamps_csv(out, blocks)
     else:
-        io.write_timestamps_binary(out, series)
-    click.echo(f"wrote {series.times.size} timestamps to {out}")
-    _write_manifest(out, [], [str(out)], sampler=series.metadata["sampler"])
+        count = io.write_timestamps_binary(out, blocks, config.n_events)
+    click.echo(f"wrote {count} timestamps to {out}")
+    _write_manifest(out, [], [str(out)], sampler=simulate._SAMPLER)
+
+
+def _check_room(out: Path, events: int, fmt: str) -> None:
+    """Refuse, before any file is made, an event count whose file cannot fit on its disk.
+
+    The least file is 2 bytes a CSV line or a 16-byte header and 8 bytes a
+    binary stamp; a directory that cannot be checked is left to the writer.
+    """
+    need = 2 * events if fmt == "csv" else 16 + 8 * events
+    try:
+        free = shutil.disk_usage(out.parent).free
+    except OSError:
+        return
+    if need > free:
+        raise OSError(errno.ENOSPC, f"{events} timestamps need at least {need} bytes, but "
+                                    f"{out.parent} has {free} bytes free")
 
 
 @cli.command(name="hist")
@@ -209,25 +229,55 @@ def cmd_simulate(**kw):
 @_handle_errors
 def cmd_hist(timestamps, bin_width, bounds, out):
     """Bin inter-detection intervals from a timestamp file."""
-    times = io.read_timestamps(timestamps)
-    if times.size == 0:
-        raise DegenerateDataError(f"no timestamps in {timestamps}")
-    bad = np.flatnonzero(~np.isfinite(times))
-    if bad.size:
-        raise DegenerateDataError(f"{timestamps}: timestamp at row {bad[0] + 1} is not finite")
-    with np.errstate(over="ignore"):
-        gaps = simulate.intervals(times)
-    del times  # binning needs only the gaps
-    bad = np.flatnonzero((gaps < 0) | (gaps == np.inf))
-    if bad.size:
-        what = "decrease" if gaps[bad[0]] < 0 else "lie too far apart for a float interval"
-        raise DegenerateDataError(f"{timestamps}: timestamps {what} at row {bad[0] + 2}")
-    hist = inference.build_histogram(gaps, bin_width, bounds=tuple(bounds) if bounds else None)
+    faults: dict[str, str] = {}
+    try:
+        hist = inference.build_histogram(_interval_blocks(timestamps, faults), bin_width,
+                                         bounds=tuple(bounds) if bounds else None)
+    except ValueError as exc:  # of the bounds or the bin count, after the file's faults
+        hist = exc
+    for kind in ("empty", "not finite", "steps"):
+        if kind in faults:
+            raise DegenerateDataError(faults[kind])
+    if isinstance(hist, ValueError):
+        raise hist
     out = _out_path(out, "histogram.csv")
     io.write_histogram(out, hist)
     click.echo(f"wrote {hist.n_bins} bins ({hist.total} intervals, "
                f"{hist.overflow} overflow) to {out}")
     _write_manifest(out, [str(timestamps)], [str(out)])
+
+
+def _interval_blocks(timestamps, faults: dict[str, str]):
+    """The intervals of a timestamp file, one block per block read.
+
+    The first non-finite stamp and the first decrease or interval past the
+    float range go into ``faults`` by kind, with their row, and end the
+    intervals; the file is still read to its end, as a reader error comes
+    first, then a non-finite stamp anywhere, then a decrease.
+    """
+    rows, last = 0, np.empty(0)
+    for times in io.read_timestamp_blocks(timestamps):
+        if not times.size:
+            continue
+        # a nan makes the least and the greatest nan
+        if "not finite" not in faults and not (np.isfinite(times.min())
+                                               and np.isfinite(times.max())):
+            bad = np.flatnonzero(~np.isfinite(times))[0]
+            faults["not finite"] = f"{timestamps}: timestamp at row {rows + bad + 1} is not finite"
+        if not faults:
+            with np.errstate(over="ignore"):
+                gaps = np.diff(times, prepend=last)
+            if gaps.min() < 0 or gaps.max() == np.inf:
+                bad = np.flatnonzero((gaps < 0) | (gaps == np.inf))[0]
+                what = "decrease" if gaps[bad] < 0 else "lie too far apart for a float interval"
+                faults["steps"] = (f"{timestamps}: timestamps {what} at row "
+                                   f"{rows - last.size + bad + 2}")
+            else:
+                yield gaps
+            last = times[-1:]
+        rows += times.size
+    if rows == 0:
+        faults["empty"] = f"no timestamps in {timestamps}"
 
 
 def _parse_assignments(pairs, what: str) -> dict[str, float]:

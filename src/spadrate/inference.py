@@ -20,6 +20,7 @@ data: it is exact for empty tail bins and needs no ad hoc variance model.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,29 @@ class IntervalHistogram:
         return self.bin_edges[:-1] + 0.5 * self.bin_width
 
 
+def _tally(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The increasing distinct values of int64 indices and their counts.
+
+    By bincount over the span of idx if it is at most twice as many bins
+    as indices, by unique's sort otherwise.
+    """
+    low = idx.min()
+    if idx.max() - low < 2 * idx.size:
+        counts = np.bincount(idx - low)
+        index = np.flatnonzero(counts)
+        return index + low, counts[index]
+    return np.unique(idx, return_counts=True)
+
+
+def _merge(tallies: list) -> tuple[np.ndarray, np.ndarray]:
+    """One tally of several (index, count) tallies, each increasing in index."""
+    index = np.concatenate([t[0] for t in tallies])
+    order = np.argsort(index, kind="stable")  # a merge of sorted runs
+    index = index[order]
+    starts = np.flatnonzero(np.diff(index, prepend=-1))
+    return index[starts], np.add.reduceat(np.concatenate([t[1] for t in tallies])[order], starts)
+
+
 def build_histogram(
     intervals,
     bin_width: float,
@@ -108,45 +132,68 @@ def build_histogram(
     [lo, hi) go to the overflow tally.  Without bounds the origin is 0,
     everything at or above it is kept and the bins extend to the maximum.
     Non-finite intervals, and more bins than one array could hold, raise
-    ValueError.  The in-range bin indices are built block by block in one
-    int64 buffer, so the binning holds about one interval-sized array.  An
-    array of n_bins is made only when there are at least half as many
-    intervals as bins, where bincount beats unique's sort.
+    ValueError.
+
+    ``intervals`` is an array, binned ``_HIST_BLOCK`` at a time, or an
+    iterator of arrays, binned as they come: a non-finite interval raises at
+    its block, a fault of the bounds or of the bin count once every block is
+    taken.  The in-range bin indices of every ``_HIST_BLOCK`` intervals or
+    more become an (index, count) tally, and the tallies are merged once
+    those waiting hold more bins than the merged one.  So memory follows the
+    populated bins, and no array of n_bins is made.
     """
     if not 0 < bin_width < np.inf:
         raise ValueError(f"bin_width must be finite and positive, got {bin_width}")
-    values = np.asarray(intervals, dtype=float).ravel()
-    if not np.isfinite(values).all():
-        raise ValueError("intervals must be finite")
+    if isinstance(intervals, Iterator):
+        blocks = intervals
+    else:
+        values = np.asarray(intervals, dtype=float).ravel()
+        blocks = (values[start:start + _HIST_BLOCK] for start in range(0, values.size, _HIST_BLOCK))
+    fault = None
+    origin, n_bins, high = 0.0, 0.0, -np.inf
     # a quotient past the float range is an index past any bin count: inf is fine
     with np.errstate(over="ignore"):
-        if bounds is not None:
-            lo, hi = bounds
-            if not -np.inf < lo < hi < np.inf:
-                raise ValueError(f"bounds must be finite with lo < hi, got {bounds}")
-            origin, n_bins = lo, np.ceil((hi - lo) / bin_width - 1e-12)
+        if bounds is None:
+            pass
+        elif not -np.inf < bounds[0] < bounds[1] < np.inf:
+            fault = ValueError(f"bounds must be finite with lo < hi, got {bounds}")
         else:
-            # floor((x - origin) / bin_width) is monotone in x: the maximum gives the last bin
-            origin = 0.0
-            n_bins = max(np.floor(values.max(initial=-np.inf) / bin_width) + 1, 0.0)
-        if n_bins > MAX_ARRAY_LENGTH:
-            raise ValueError(f"bin_width {bin_width:g} gives {n_bins:.3g} bins, more than the "
-                             f"{MAX_ARRAY_LENGTH} one array can hold")
-        n_bins = int(n_bins)
-        idx, size = np.empty(values.size, dtype=np.int64), 0
-        for start in range(0, values.size, _HIST_BLOCK):
-            block = np.floor((values[start:start + _HIST_BLOCK] - origin) / bin_width)
+            origin, n_bins = bounds[0], np.ceil((bounds[1] - bounds[0]) / bin_width - 1e-12)
+    empty = np.empty(0, dtype=np.int64)
+    total, pending, tallies = 0, [empty], [(empty, empty)]
+    for block in blocks:
+        block = np.asarray(block, dtype=float).ravel()
+        if not block.size:
+            continue
+        low, top = block.min(), block.max()
+        if not (np.isfinite(low) and np.isfinite(top)):
+            raise ValueError("intervals must be finite")
+        total += block.size
+        with np.errstate(over="ignore"):
+            if bounds is None:
+                # floor((x - origin) / bin_width) is monotone in x: the maximum gives the last bin
+                high = max(high, top)
+                n_bins = max(np.floor(high / bin_width) + 1, 0.0)
+            if fault or n_bins > MAX_ARRAY_LENGTH:
+                continue
+            idx = np.floor((block - origin) / bin_width)
             # clip before the cast: every index then fits an int64
-            block = np.clip(block, -1, n_bins, out=block).astype(np.int64)
-            block = block[(block >= 0) & (block < n_bins)]
-            idx[size:size + block.size] = block
-            size += block.size
-    idx = idx[:size]
-    overflow = values.size - size
-    if n_bins <= 2 * size:
-        return IntervalHistogram(bin_width, np.bincount(idx, minlength=n_bins), origin, overflow)
-    index, tally = np.unique(idx, return_counts=True)
-    return IntervalHistogram(bin_width, tally, origin, overflow, index=index, n_bins=n_bins)
+            idx = np.clip(idx, -1, n_bins, out=idx).astype(np.int64)
+        pending.append(idx[(idx >= 0) & (idx < n_bins)])
+        if sum(p.size for p in pending) >= _HIST_BLOCK:
+            tallies.append(_tally(np.concatenate(pending)))
+            pending = [empty]
+            if sum(t[0].size for t in tallies[1:]) > tallies[0][0].size:
+                tallies = [_merge(tallies)]
+    if n_bins > MAX_ARRAY_LENGTH:
+        fault = fault or ValueError(f"bin_width {bin_width:g} gives {n_bins:.3g} bins, more than "
+                                    f"the {MAX_ARRAY_LENGTH} one array can hold")
+    if fault:
+        raise fault
+    idx = np.concatenate(pending)
+    index, tally = _merge([*tallies, _tally(idx)] if idx.size else tallies)
+    return IntervalHistogram(bin_width, tally, origin, total - int(tally.sum()), index=index,
+                             n_bins=int(n_bins))
 
 
 @dataclass(frozen=True)

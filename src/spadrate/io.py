@@ -1,9 +1,12 @@
 """File formats: timestamp streams, interval histograms and result tables.
 
 Timestamps are CSV, one exact ``%.17g`` line each, or binary: a 16-byte
-header (magic, version, count), then little-endian float64 values.  CSV lines
-are formed by numpy word arithmetic, a block at a time, and parsed by one
-kernel of constant shifts and masks over lines of one layout: a whole read of a
+header (magic, version, count), then little-endian float64 values.  Both
+are streamed: the writers take a series or any iterable of blocks, and
+``read_timestamp_blocks`` gives one array per read, so a file in these
+formats is written and read in constant memory.  CSV lines are formed by
+numpy word arithmetic, a block at a time, and parsed by one kernel of
+constant shifts and masks over lines of one layout: a whole read of a
 sorted stream, or each layout of a read in turn.
 Histograms are v2 CSV, or dense v1 when read.  A malformed file raises
 :class:`DegenerateDataError` naming the path.
@@ -11,9 +14,12 @@ Histograms are v2 CSV, or dense v1 when read.  A malformed file raises
 
 from __future__ import annotations
 
+import contextlib
 import os
+import stat
 import struct
 import warnings
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -21,9 +27,9 @@ from .exceptions import DegenerateDataError
 from .inference import IntervalHistogram
 from .simulate import TimestampSeries
 
-__all__ = ["read_timestamps", "write_timestamps_csv", "read_timestamps_csv",
-           "write_timestamps_binary", "read_timestamps_binary", "write_histogram",
-           "read_histogram", "write_table"]
+__all__ = ["read_timestamps", "read_timestamp_blocks", "write_timestamps_csv",
+           "read_timestamps_csv", "write_timestamps_binary", "read_timestamps_binary",
+           "write_histogram", "read_histogram", "write_table"]
 
 # Timestamps the CSV writer formats at a time: 2**13 wrote 1e6 stamps in about
 # the same time, 2**15 ~5% and 2**16 ~40% slower (one pinned x86 vCPU)
@@ -34,6 +40,14 @@ _HEADER = struct.Struct("<4sIQ")  # magic, version, count: 16 bytes
 # The CSV kernels work on uint64 words, and every constant they meet is a
 # uint64 too: numpy 1.x turns uint64 mixed with int64 into float64.
 _U = np.uint64
+
+# glibc hands the top of its heap back to the OS whenever a free leaves more there
+# than twice the largest mmapped block freed so far (at first 128 KiB), and the next
+# block of stamps faults it in again: with 1-3 MiB of scratch a block, writing 1e6
+# stamps took ~32,000 minor page faults and reading them ~8,000.  Freeing one
+# untouched 4 MiB block raises that bound to 8 MiB for the process, at no resident
+# memory; any other allocator just frees it.
+np.empty(1 << 22, dtype=np.uint8)
 
 
 def _line_templates() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,11 +88,10 @@ _SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp: splits a double into two 26-bit halves
 _TEMPLATE, _WIDTH, _ADD = _line_templates()
 
 _ROW = 24  # bytes gathered from each line, and the longest line read; the writer's have 22
-# Bytes per read of the CSV reader, ~7k lines of ~19 bytes, whose temporaries
-# (~110-145 bytes a line) stay on the heap after the read.  Against 2**17, 2**18
-# read 1e6 lines ~6% faster alone, not in `characterize`, and raised its peak RSS
-# by ~0.8 MiB; 2**16 was ~17% slower alone and ~8% in `characterize`.
-_READ = 1 << 17
+# Bytes per read of the CSV reader, ~14k lines of ~19 bytes, and so the block
+# that `hist` checks and bins at a time; the temporaries are ~110-145 bytes a line.
+# Against 2**17, `hist` of 1e6 lines took ~8% less time (one pinned x86 vCPU).
+_READ = 1 << 18
 _ZEROS = _U(0x3030303030303030)
 _SEVENTY_SIXES = _U(0x7676767676767676)
 _HIGH_BITS = _U(0x8080808080808080)
@@ -114,7 +127,9 @@ def _format_lines(x: np.ndarray) -> bytes:
     [1e16, 1e17), and a rounding carry to 10**17 becomes 10**16 at E + 1.
     Each half of the last 16 digits becomes one word of bytes (``_digit_bytes``),
     laid out by ``_line_templates`` in ``%g``'s fixed form for -4 <= E < 17 and its
-    exponential form below; the zeros and bare dot a line drops are NULs, deleted at once.
+    exponential form below, one run of lines of one E at a time, so a block
+    spanning decades needs no more scratch than one within a decade; the
+    zeros and bare dot a line drops are NULs, deleted at once.
     """
     bounds = np.array([x.min(), x.max()])
     if not (1e-6 < bounds[0] and bounds[1] < 1e17):  # nan fails too
@@ -143,16 +158,18 @@ def _format_lines(x: np.ndarray) -> bytes:
     del p, err, below, frac, shift, digits, high
     n_digits = np.maximum(np.maximum(mid_digits + 1, low_digits + 9), 1)
     i = e - _E_MIN
-    if i.min() == i.max():  # one exponent, as in most blocks of sorted timestamps
-        row = _ADD[i[0]].take(n_digits, axis=0)
-        line = slice(None), _TEMPLATE[i[0], :_WIDTH[i[0]]]
-    else:
-        row = _ADD[i, n_digits]
-        line = np.arange(x.size)[:, None], _TEMPLATE[i]
-    row[:, 0] |= (lead << 56).view(_U)
-    row[:, 1] |= mid
-    row[:, 2] |= low
-    return row.view(np.uint8)[line].tobytes().replace(b"\0", b"")
+    # runs of one exponent: one for most blocks of sorted timestamps, at most 23 for any sorted
+    # block; an unsorted block is correct but slow, a run of ~1 line per ~10 us
+    cuts = (np.flatnonzero(i[1:] != i[:-1]) + 1).tolist()
+    lines = []
+    for a, b in zip([0, *cuts], [*cuts, x.size]):
+        k = i[a]
+        row = _ADD[k].take(n_digits[a:b], axis=0)
+        row[:, 0] |= (lead[a:b] << 56).view(_U)
+        row[:, 1] |= mid[a:b]
+        row[:, 2] |= low[a:b]
+        lines.append(row.view(np.uint8)[:, _TEMPLATE[k, :_WIDTH[k]]].tobytes())
+    return b"".join(lines).replace(b"\0", b"")
 
 
 def _digit_bytes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,14 +186,6 @@ def _digit_bytes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = x * _U(103) >> _U(10) & _U(0x000F000F000F000F)
     x = (x << _U(8)) - q * _U((10 << 8) - 1)
     return x, (x.view(np.int64).astype(float).view(np.int64) >> 52) - 1015 >> 3
-
-
-def write_timestamps_csv(path, series: TimestampSeries) -> None:
-    """One ``%.17g`` line per timestamp, ``\\n`` line ends on every platform."""
-    times = series.times
-    with open(path, "wb") as fh:
-        for start in range(0, times.size, _BLOCK):
-            fh.write(_format_lines(times[start:start + _BLOCK]))
 
 
 _KEEP = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=_U)  # a word's low n bytes
@@ -312,87 +321,81 @@ def _parse_layouts(buf: np.ndarray, starts: np.ndarray,
     return t, np.concatenate(redo)
 
 
-def _parse_csv(fh) -> np.ndarray | None:
-    """Timestamps of an open CSV file in the writer's grammar, or None for any other file.
+def _parse_csv(fh) -> Iterator[np.ndarray | None]:
+    """Timestamps of each read of an open CSV file in the writer's grammar, then None
+    at the first read holding any other line, or ending without a newline.
 
     Reads ``_READ`` bytes at a time after a carry of the last partial line,
     with ``_ROW`` bytes to spare after them for the bytes gathered from the last line;
     every line ends in a newline and is at most ``_ROW`` bytes long.  A read
     goes to ``_parse_one_layout`` whole, as most reads of a sorted stream
-    share one layout, and otherwise split by ``_parse_layouts``.  The result
-    is allocated at a guess of 16 bytes per line, one large block rather than
-    a heap block grown from nothing, and resized in place to the line count
-    that the bytes read so far predict.
+    share one layout, and otherwise split by ``_parse_layouts``.
     """
-    unread = os.fstat(fh.fileno()).st_size
     buf = np.full(3 * _ROW + _READ, ord("\n"), dtype=np.uint8)
-    times = np.empty(unread // 16 + 1)
-    n = 0
     carry = 0
     while got := fh.readinto(memoryview(buf)[_ROW + carry:-_ROW]):
-        unread -= got
         end = _ROW + carry + got
         ends = np.flatnonzero(buf[_ROW:end] == ord("\n")) + _ROW
         if ends.size == 0:
-            return None
+            break
         length = np.diff(ends, prepend=_ROW - 1) - 1
         if length.min() < 1 or length.max() > _ROW:
-            return None
+            break
         parsed = (_parse_one_layout(buf, ends - length, length)
                   or _parse_layouts(buf, ends - length, length))
         if parsed is None:
-            return None
+            break
         t, redo = parsed
         for j in redo.tolist():
             t[j] = float(buf[ends[j] - length[j]:ends[j]].tobytes())
-        if n + t.size > times.size:
-            times.resize(n + t.size + max(unread, 0) * t.size // got + 1, refcheck=False)
-        times[n:n + t.size] = t
-        n += t.size
         carry = end - ends[-1] - 1
         if carry > _ROW:
-            return None
+            break
         buf[_ROW:_ROW + carry] = buf[ends[-1] + 1:end]
-    if carry:
-        return None
-    times.resize(n, refcheck=False)
-    return times
+        yield t
+    else:
+        if not carry:
+            return
+    yield None
 
 
-def read_timestamps_csv(path) -> np.ndarray:
-    """Timestamps of a CSV file; an empty file gives an empty array.
+def _csv_blocks(path) -> Iterator[np.ndarray]:
+    """Timestamps of a CSV file, one array per read; an empty file gives none.
 
-    The writer's lines are parsed by ``_parse_csv``; a file with any other
-    line, including one without its final newline, is read whole by
-    ``np.loadtxt``.  Both give the correctly rounded value of every line.
-    A malformed file raises :class:`DegenerateDataError` naming the path.
+    The writer's lines are parsed by ``_parse_csv``.  From the first read
+    holding any other line, including a last line without its newline, the
+    file is read whole by ``np.loadtxt`` and the values after those already
+    given follow as one array.  Both give the correctly rounded value of
+    every line.  A malformed file raises :class:`DegenerateDataError` naming the path.
     """
+    given = 0
     try:
         fh = open(os.fspath(path), "rb")
     except (OSError, TypeError):  # loadtxt reads file objects and reports what cannot open
-        times = None
+        pass
     else:
         with fh:
-            times = _parse_csv(fh)
-    if times is not None:
-        return times
+            for times in _parse_csv(fh):
+                if times is None:
+                    break
+                given += times.size
+                yield times
+            else:
+                return
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            return np.loadtxt(path, dtype=float, ndmin=1)
+            times = np.loadtxt(path, dtype=float, ndmin=1)
         except ValueError as exc:
             raise DegenerateDataError(f"{path}: {exc}") from None
+    if times.ndim != 1:
+        raise DegenerateDataError(f"{path}: {times.shape[1]} values a line, expected one")
+    yield times[given:]
 
 
-def write_timestamps_binary(path, series: TimestampSeries) -> None:
-    times = np.ascontiguousarray(series.times, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_BINARY_MAGIC, _BINARY_VERSION, times.size))
-        fh.write(times.tobytes())
-
-
-def read_timestamps_binary(path) -> np.ndarray:
-    """Timestamps of a binary file; a malformed one raises :class:`DegenerateDataError`."""
+def _binary_blocks(path) -> Iterator[np.ndarray]:
+    """Timestamps of a binary file, ``_READ`` bytes at a time; a malformed file raises
+    :class:`DegenerateDataError` before the first."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -405,14 +408,99 @@ def read_timestamps_binary(path) -> np.ndarray:
         # checked before reading: the header's count may ask for any size up to 2**67 bytes
         if 8 * count > os.fstat(fh.fileno()).st_size - _HEADER.size:
             raise DegenerateDataError(f"{path}: truncated payload")
-        return np.fromfile(fh, dtype="<f8", count=count).astype(float, copy=False)
+        step = _READ // 8
+        for start in range(0, count, step):
+            yield np.fromfile(fh, dtype="<f8", count=min(step, count - start)).astype(
+                float, copy=False)
+
+
+def read_timestamp_blocks(path) -> Iterator[np.ndarray]:
+    """Timestamps of a file in blocks: binary for a ``.bin`` path in any case, CSV otherwise.
+
+    A block is one read of the file, so a file in the writers' formats is read
+    in constant memory.
+    """
+    if str(path).lower().endswith(".bin"):
+        return _binary_blocks(path)
+    return _csv_blocks(path)
+
+
+def _join(blocks) -> np.ndarray:
+    return np.concatenate([np.empty(0), *blocks])
+
+
+def read_timestamps_csv(path) -> np.ndarray:
+    """Timestamps of a CSV file (see ``_csv_blocks``); an empty file gives an empty array."""
+    return _join(_csv_blocks(path))
+
+
+def read_timestamps_binary(path) -> np.ndarray:
+    """Timestamps of a binary file; a malformed one raises :class:`DegenerateDataError`."""
+    return _join(_binary_blocks(path))
 
 
 def read_timestamps(path) -> np.ndarray:
     """Timestamps of a binary file for a ``.bin`` path in any case, of a CSV file otherwise."""
-    if str(path).lower().endswith(".bin"):
-        return read_timestamps_binary(path)
-    return read_timestamps_csv(path)
+    return _join(read_timestamp_blocks(path))
+
+
+@contextlib.contextmanager
+def _created(path):
+    """The file at path opened for writing, and removed again if writing it does not finish.
+
+    Only the file opened is removed: not a device or a symbolic link.
+    """
+    fh = open(path, "wb")
+    opened = os.fstat(fh.fileno())
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(path)):
+                os.remove(path)
+        raise
+
+
+def _blocks(stamps) -> Iterable[np.ndarray]:
+    return (stamps.times,) if isinstance(stamps, TimestampSeries) else stamps
+
+
+def write_timestamps_csv(path, stamps) -> int:
+    """One ``%.17g`` line per timestamp, ``\\n`` line ends on every platform; returns the count.
+
+    ``stamps`` is a :class:`TimestampSeries` or an iterable of arrays, the
+    blocks of an increasing stream, formatted ``_BLOCK`` stamps at a time.
+    """
+    count = 0
+    with _created(path) as fh:
+        for block in _blocks(stamps):
+            for start in range(0, block.size, _BLOCK):
+                fh.write(_format_lines(block[start:start + _BLOCK]))
+            count += block.size
+    return count
+
+
+def write_timestamps_binary(path, stamps, count: int | None = None) -> int:
+    """The header, then each timestamp as a little-endian float64; returns the count.
+
+    ``stamps`` is a :class:`TimestampSeries` or an iterable of arrays.  The
+    header takes the series' size or ``count``; if neither is known, or the
+    stamps written differ from it, it is patched at the end, which needs a
+    seekable file.
+    """
+    if isinstance(stamps, TimestampSeries):
+        count = stamps.times.size
+    written = 0
+    with _created(path) as fh:
+        fh.write(_HEADER.pack(_BINARY_MAGIC, _BINARY_VERSION, count or 0))
+        for block in _blocks(stamps):
+            fh.write(np.ascontiguousarray(block, dtype="<f8").data)
+            written += block.size
+        if written != count:
+            fh.seek(0)
+            fh.write(_HEADER.pack(_BINARY_MAGIC, _BINARY_VERSION, written))
+    return written
 
 
 _V2_KEYS = ("bin_width", "origin", "n_bins", "overflow")

@@ -16,6 +16,12 @@ geometric with success probability exp(-H1), each paralysed segment is
 H's inverse at a unit exponential truncated to [0, H1], and the detected
 segment is H's inverse at H1 + E, so no draw is ever rejected.
 
+The stamps come in strictly increasing blocks (``_stamp_blocks``), which
+``simulate`` joins and the CLI writes as they come: an event stop holds
+one block of ``_BLOCK`` stamps at a time, but with paralysis every
+detection's paralysed sum is drawn first (O(n)), and a duration stop
+draws chunks sized to the detections it expects (O(n)).
+
 Runs are reproducible: a fixed seed yields byte-identical timestamps.
 The generator (numpy's PCG64) and the sampler are recorded in the series
 metadata; a different sampler gives a different stream for the same seed.
@@ -23,6 +29,7 @@ metadata; a different sampler gives a different stream for the same seed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -167,18 +174,9 @@ def _newton(g: np.ndarray) -> np.ndarray:
     return x
 
 
-def _sample_on_times(
-    rng: np.random.Generator,
-    n: int,
-    r_star: float,
-    tau_r: float,
-    paralyzing: ParalyzingParams,
-) -> np.ndarray:
-    """Draw n independent detector-on times by inverting the integrated hazard.
-
-    Every draw goes through blocks of ``_BLOCK``, so scratch memory stays
-    O(n + block) however many paralyzations a detection has.
-    """
+def _reach(n: int, r_star: float, tau_r: float,
+           paralyzing: ParalyzingParams) -> tuple[float, float]:
+    """r_star * tau_r and H(tau_p1) for n draws, or ValueError if the draws are out of reach."""
     a = _rate_product(r_star, tau_r)
     h1 = er_cumulative_hazard(paralyzing.tau_p1, r_star, tau_r)
     with np.errstate(over="ignore"):
@@ -194,39 +192,166 @@ def _sample_on_times(
     if a < lowest:
         raise ValueError(f"r_star*tau_r = {a:g} is too small to sample: the on-time draws "
                          f"overflow a float below r_star*tau_r = {lowest:.3g}")
-    out = np.zeros(n)
+    return a, h1
+
+
+def _paralysed_sums(rng: np.random.Generator, n: int, a: float, h1: float, tau_r: float,
+                    paralyzing: ParalyzingParams, draws: np.ndarray) -> np.ndarray:
+    """Each of n detections' paralysed time: its count times tau_p2 plus its segments.
+
+    The segments go through blocks of ``_BLOCK`` draws, so scratch memory stays
+    O(n + block) however many paralyzations a detection has.
+    """
+    count = rng.geometric(np.exp(-h1), n) - 1
+    ends = np.cumsum(count)
+    out = np.multiply(count, paralyzing.tau_p2)
+    p = -np.expm1(-h1)
+    for start in range(0, int(ends[-1]), _BLOCK):
+        stop = min(start + _BLOCK, int(ends[-1]))
+        # held: the detections of first..last with segments here, at most _BLOCK of them,
+        # in runs of their counts with the end runs clipped; bincount sums each from 0.0
+        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+        held = first + np.flatnonzero(count[first:last + 1])
+        runs = count[held]
+        runs[0] = ends[first] - start
+        runs[-1] -= ends[last] - stop
+        u = rng.random(out=draws[:stop - start])
+        np.log1p(np.multiply(u, -p, out=u), out=u)  # -log1p(-p u) / a as log1p(-p u) / -a
+        u /= -a
+        seg = _inverse_hazard(u)  # then the labels, in scratch it freed (see _reversion)
+        owner = np.repeat(np.arange(runs.size), runs)
+        sums = np.bincount(owner, weights=seg)
+        sums *= tau_r
+        out[held] += sums
+    return out
+
+
+def _on_time_blocks(rng: np.random.Generator, n: int, a: float, h1: float, tau_r: float,
+                    paralyzing: ParalyzingParams) -> Iterator[np.ndarray]:
+    """n independent detector-on times, in blocks of ``_BLOCK``, by inverting the integrated hazard.
+
+    With paralysis (h1 > 0) the generator draws every paralysed segment before
+    the first detected one, so each detection's paralysed sum is held for all n
+    detections before the first block: O(n) memory.  Without, O(block).
+    """
     draws = np.empty(_BLOCK)  # refilled by rng.random and rng.standard_exponential
+    paralysed = None
     if h1 > 0:
-        count = rng.geometric(np.exp(-h1), n) - 1
-        ends = np.cumsum(count)
-        np.multiply(count, paralyzing.tau_p2, out=out)
-        p = -np.expm1(-h1)
-        for start in range(0, int(ends[-1]), _BLOCK):
-            stop = min(start + _BLOCK, int(ends[-1]))
-            # held: the detections of first..last with segments here, at most _BLOCK of them,
-            # in runs of their counts with the end runs clipped; bincount sums each from 0.0
-            first, last = np.searchsorted(ends, [start, stop - 1], side="right")
-            held = first + np.flatnonzero(count[first:last + 1])
-            runs = count[held]
-            runs[0] = ends[first] - start
-            runs[-1] -= ends[last] - stop
-            u = rng.random(out=draws[:stop - start])
-            np.log1p(np.multiply(u, -p, out=u), out=u)  # -log1p(-p u) / a as log1p(-p u) / -a
-            u /= -a
-            seg = _inverse_hazard(u)  # then the labels, in scratch it freed (see _reversion)
-            owner = np.repeat(np.arange(runs.size), runs)
-            sums = np.bincount(owner, weights=seg)
-            sums *= tau_r
-            out[held] += sums
+        with np.errstate(over="ignore"):  # past the float range an on-time becomes inf
+            paralysed = _paralysed_sums(rng, n, a, h1, tau_r, paralyzing, draws)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         e = rng.standard_exponential(out=draws[:stop - start])
-        e += h1
-        e /= a
-        x = _inverse_hazard(e)
-        x *= tau_r  # in place: one more 128 KiB temporary made glibc refault the heap per block
-        out[start:stop] += x
+        with np.errstate(over="ignore"):
+            e += h1
+            e /= a
+            x = _inverse_hazard(e)
+            x *= tau_r  # in place: one more 128 KiB temporary made glibc refault the heap per block
+            if paralysed is not None:
+                x += paralysed[start:stop]
+        yield x
+
+
+def _sample_on_times(
+    rng: np.random.Generator,
+    n: int,
+    r_star: float,
+    tau_r: float,
+    paralyzing: ParalyzingParams,
+) -> np.ndarray:
+    """Draw n independent detector-on times: the blocks of :func:`_on_time_blocks` in one array."""
+    a, h1 = _reach(n, r_star, tau_r, paralyzing)
+    out = np.empty(n)
+    for start, x in zip(range(0, n, _BLOCK), _on_time_blocks(rng, n, a, h1, tau_r, paralyzing)):
+        out[start:start + x.size] = x
     return out
+
+
+def _check_increasing(block: np.ndarray, last: float) -> None:
+    if not (block[0] > last and np.all(block[1:] > block[:-1])):
+        raise ValueError("timestamps must be strictly increasing")
+
+
+def _event_stamps(config: SimConfig, r_star: float, a: float, h1: float) -> Iterator[np.ndarray]:
+    """The stamps of an event stop, one block of on-times at a time.
+
+    Each block of intervals (tau_d plus an on-time) is summed on from the
+    previous block's last stamp: numpy's running sum adds in order, so the
+    blocks repeat the running sum over all n intervals bit for bit.
+    """
+    n, tau_r = config.n_events, config.er.tau_r
+    carry, last = 0.0, -np.inf
+    for on in _on_time_blocks(np.random.default_rng(config.seed), n, a, h1, tau_r,
+                              config.paralyzing):
+        with np.errstate(over="ignore"):  # past the float range a stamp becomes inf
+            on += config.er.tau_d
+            on[0] += carry
+            np.cumsum(on, out=on)
+        if not np.isfinite(on[-1]):
+            raise ValueError(
+                f"{n} detections pass the float range of timestamps "
+                f"({np.finfo(float).max:.3g} s) at a mean on-time of "
+                f"{_mean_on_time(r_star, tau_r, config.paralyzing):.3g} s"
+            )
+        _check_increasing(on, last)
+        carry = last = on[-1]
+        yield on
+
+
+def _duration_stamps(config: SimConfig, r_star: float) -> Iterator[np.ndarray]:
+    """The stamps of a duration stop: chunks of on-times until their sum passes the duration.
+
+    Each chunk is drawn whole, sized at 1.2 times the detections expected in
+    the time left, so memory is O(chunk) and the first chunk is about the
+    whole run.  A stamp past the duration, or past the float range (inf), is
+    dropped.
+    """
+    rng = np.random.default_rng(config.seed)
+    tau_d, tau_r = config.er.tau_d, config.er.tau_r
+    mean_interval = tau_d + _mean_on_time(r_star, tau_r, config.paralyzing)
+    elapsed, carry, last = 0.0, 0.0, -np.inf
+    while elapsed < config.duration:
+        with np.errstate(over="ignore"):
+            remaining = config.duration - elapsed
+            expected = 1.2 * remaining / mean_interval
+            if expected == np.inf:  # 1.2 * remaining passed the float range: divide first
+                expected = 1.2 * (remaining / mean_interval)
+        if expected > MAX_ARRAY_LENGTH:  # inf where the count passes the float range
+            raise ValueError(f"duration {config.duration:g} s expects {expected / 1.2:.3g} "
+                             f"detections, more than the {MAX_ARRAY_LENGTH} one array can hold")
+        on = _sample_on_times(rng, max(1024, int(expected)), r_star, tau_r, config.paralyzing)
+        with np.errstate(over="ignore"):
+            on += tau_d
+            elapsed += float(on.sum())
+            on[0] += carry
+            np.cumsum(on, out=on)
+        carry = on[-1]
+        on = on[on <= config.duration]
+        if on.size:
+            _check_increasing(on, last)
+            last = on[-1]
+            yield on
+
+
+def _stamp_blocks(config: SimConfig) -> Iterator[np.ndarray]:
+    """The stamps of a run in strictly increasing blocks, from a configuration checked at once.
+
+    An event stop yields blocks of ``_BLOCK`` stamps and holds O(block)
+    memory, O(n) with paralysis (:func:`_on_time_blocks`); a duration stop
+    yields its chunks (:func:`_duration_stamps`).  A stream that passes the
+    float range or stops increasing raises ValueError at the block where it does.
+    """
+    r_star = config.apriori_rate()
+    if config.n_events is not None:
+        if r_star <= 0:
+            raise ValueError(
+                "cannot reach the target event count: a priori rate is zero"
+            )
+        a, h1 = _reach(config.n_events, r_star, config.er.tau_r, config.paralyzing)
+        return _event_stamps(config, r_star, a, h1)
+    if r_star <= 0:
+        return iter(())
+    return _duration_stamps(config, r_star)
 
 
 def simulate(config: SimConfig) -> TimestampSeries:
@@ -234,61 +359,15 @@ def simulate(config: SimConfig) -> TimestampSeries:
 
     Inter-detection intervals are independent draws of tau_d plus a
     detector-on time; timestamps are the running sum of those intervals
-    (an unrecorded detection is imagined at t = 0).
+    (an unrecorded detection is imagined at t = 0).  The series joins the
+    blocks of :func:`_stamp_blocks`.
     """
-    rng = np.random.default_rng(config.seed)
-    r_star = config.apriori_rate()
-    tau_d = config.er.tau_d
-    tau_r = config.er.tau_r
-    metadata = {
+    times = np.concatenate([np.empty(0), *_stamp_blocks(config)])
+    return TimestampSeries(times=times, metadata={
         "generator": _RNG_NAME,
         "seed": config.seed,
         "sampler": _SAMPLER,
-    }
-
-    if config.n_events is not None:
-        if r_star <= 0:
-            raise ValueError(
-                "cannot reach the target event count: a priori rate is zero"
-            )
-        with np.errstate(over="ignore"):  # past the float range a stamp becomes inf
-            on = _sample_on_times(rng, config.n_events, r_star, tau_r, config.paralyzing)
-            on += tau_d
-            np.cumsum(on, out=on)
-        if not np.isfinite(on[-1]):
-            raise ValueError(
-                f"{config.n_events} detections pass the float range of timestamps "
-                f"({np.finfo(float).max:.3g} s) at a mean on-time of "
-                f"{_mean_on_time(r_star, tau_r, config.paralyzing):.3g} s"
-            )
-        return TimestampSeries(times=on, metadata=metadata)
-
-    # Duration stop: draw in chunks until the clock passes the target.
-    if r_star <= 0:
-        return TimestampSeries(times=np.empty(0), metadata=metadata)
-    chunks: list[np.ndarray] = []
-    elapsed = 0.0
-    mean_interval = tau_d + _mean_on_time(r_star, tau_r, config.paralyzing)
-    # past the float range a stamp becomes inf, which the duration filters out
-    with np.errstate(over="ignore"):
-        while True:
-            remaining = config.duration - elapsed
-            expected = 1.2 * remaining / mean_interval
-            if expected == np.inf:  # 1.2 * remaining passed the float range: divide first
-                expected = 1.2 * (remaining / mean_interval)
-            if expected > MAX_ARRAY_LENGTH:  # inf where the count passes the float range
-                raise ValueError(f"duration {config.duration:g} s expects {expected / 1.2:.3g} "
-                                 f"detections, more than the {MAX_ARRAY_LENGTH} one array can hold")
-            chunk_n = max(1024, int(expected))
-            on = _sample_on_times(rng, chunk_n, r_star, tau_r, config.paralyzing)
-            on += tau_d
-            chunks.append(on)
-            elapsed += float(on.sum())
-            if elapsed >= config.duration:
-                break
-        times = np.cumsum(np.concatenate(chunks))
-    times = times[times <= config.duration]
-    return TimestampSeries(times=times, metadata=metadata)
+    })
 
 
 def intervals(series) -> np.ndarray:

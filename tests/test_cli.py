@@ -264,7 +264,7 @@ def test_simulate_event_count_beyond_array_limit_is_usage_error(runner, tmp_path
     def never(config):
         raise AssertionError("simulate must not start")
 
-    monkeypatch.setattr(simulate, "simulate", never)
+    monkeypatch.setattr(simulate, "_stamp_blocks", never)
     result = runner.invoke(cli, _simulate_args(tmp_path / "x.csv", events="1e19"))
     assert result.exit_code == 2, result.output
     assert "--events" in result.output
@@ -394,7 +394,7 @@ def test_simulate_out_of_memory_is_data_error(runner, tmp_path, monkeypatch):
     def exhausted(config):
         raise MemoryError("Unable to allocate 6.94 EiB for an array")
 
-    monkeypatch.setattr(simulate, "simulate", exhausted)
+    monkeypatch.setattr(simulate, "_stamp_blocks", exhausted)
     result = runner.invoke(cli, _simulate_args(tmp_path / "x.csv", events="1e18"))
     assert result.exit_code == 3, result.output
     assert "error: out of memory: Unable to allocate 6.94 EiB" in result.output

@@ -76,14 +76,21 @@ def test_csv_round_trip(paper_params, tmp_path):
     np.testing.assert_array_equal(back, series.times)
 
 
-def test_csv_reader_grows_past_its_first_guess(tmp_path):
-    # lines of 2-7 bytes: the first allocation, 16 bytes a line, is too small
+def _parsed_whole(path):
+    """Whether io._parse_csv, not the np.loadtxt fallback, reads every line of path."""
+    with open(path, "rb") as fh:
+        return all(times is not None for times in io._parse_csv(fh))
+
+
+def test_csv_reader_parses_short_lines_read_by_read(tmp_path):
+    # lines of 2-7 bytes, ~20k to a read
     times = np.arange(1.0, 300_001.0)
     path = tmp_path / "ts.csv"
     io.write_timestamps_csv(path, simulate.TimestampSeries(times))
-    assert path.stat().st_size // 16 + 1 < times.size
     with open(path, "rb") as fh:
-        back = io._parse_csv(fh)
+        reads = list(io._parse_csv(fh))
+    assert len(reads) > 1 and all(read is not None for read in reads)
+    back = np.concatenate(reads)
     np.testing.assert_array_equal(back.view(np.int64), times.view(np.int64))
 
 
@@ -192,8 +199,7 @@ def test_csv_reader_is_exact_on_the_writer_lines(tmp_path):
     path = tmp_path / "ts.csv"
     path.write_bytes(b"".join(io._format_lines(block)
                               for block in np.array_split(values, 100)))
-    with open(path, "rb") as fh:
-        assert io._parse_csv(fh) is not None  # the parser, not the fallback, read it
+    assert _parsed_whole(path)  # the parser, not the fallback, read it
     assert np.array_equal(_read_both_ways(path).view(np.int64), values.view(np.int64))
 
 
@@ -201,8 +207,7 @@ def test_csv_reader_rounds_near_midpoints_correctly(tmp_path):
     lines = _midpoint_lines(np.random.default_rng(31), 500)
     path = tmp_path / "mid.csv"
     path.write_text("".join(line + "\n" for line in lines))
-    with open(path, "rb") as fh:
-        assert io._parse_csv(fh) is not None
+    assert _parsed_whole(path)
     expected = np.array([float(line) for line in lines])
     assert np.array_equal(_read_both_ways(path).view(np.int64), expected.view(np.int64))
 
@@ -329,8 +334,7 @@ def test_one_layout_kernel_declines_a_line_off_a_new_layout(tmp_path, name, line
     # the read splits by layout, and each part is the kernel's
     path = tmp_path / "ts.csv"
     path.write_text("".join(x + "\n" for x in lines))
-    with open(path, "rb") as fh:
-        assert io._parse_csv(fh) is not None
+    assert _parsed_whole(path)
     _read_both_ways(path)
 
 
@@ -391,8 +395,7 @@ def test_divide_flags_every_line_near_a_midpoint():
 def test_csv_reader_falls_back_to_loadtxt(tmp_path, content):
     path = tmp_path / "ts.csv"
     path.write_bytes(content)
-    with open(path, "rb") as fh:
-        assert io._parse_csv(fh) is None
+    assert not _parsed_whole(path)
     assert _read_both_ways(path).size > 0
 
 
@@ -422,13 +425,14 @@ def test_binary_rejects_corruption(tmp_path):
 
 @pytest.mark.parametrize("name, content", [
     ("text.csv", b"1e-4\nabc\n"),
+    ("columns.csv", b"1e-4 2e-4\n3e-4 4e-4\n"),
     ("magic.bin", b"NOPE" + struct.pack("<IQ", 1, 0)),
     ("header.bin", b"SPTS"),
     ("payload.bin", b"SPTS" + struct.pack("<IQ", 1, 3) + np.zeros(2).tobytes()),
     ("version.bin", b"SPTS" + struct.pack("<IQ", 2, 0)),
     ("count.bin", b"SPTS" + struct.pack("<IQ", 1, 2**63) + np.zeros(2).tobytes()),
-], ids=["text_row", "bad_magic", "truncated_header", "truncated_payload", "bad_version",
-        "count_past_memory"])
+], ids=["text_row", "two_columns", "bad_magic", "truncated_header", "truncated_payload",
+        "bad_version", "count_past_memory"])
 def test_malformed_timestamp_file_is_degenerate_data(tmp_path, name, content):
     # the CLI maps DegenerateDataError to exit 3 and any other ValueError to exit 2
     path = tmp_path / name
