@@ -385,12 +385,12 @@ def _csv_blocks(path) -> Iterator[np.ndarray]:
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            times = np.loadtxt(path, dtype=float, ndmin=1)
+            times = np.loadtxt(path, dtype=float, ndmin=2)  # one line of two values: (1, 2)
         except ValueError as exc:
             raise DegenerateDataError(f"{path}: {exc}") from None
-    if times.ndim != 1:
+    if times.shape[1] != 1:
         raise DegenerateDataError(f"{path}: {times.shape[1]} values a line, expected one")
-    yield times[given:]
+    yield times[given:, 0]
 
 
 def _binary_blocks(path) -> Iterator[np.ndarray]:

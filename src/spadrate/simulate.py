@@ -17,10 +17,9 @@ H's inverse at a unit exponential truncated to [0, H1], and the detected
 segment is H's inverse at H1 + E, so no draw is ever rejected.
 
 The stamps come in strictly increasing blocks (``_stamp_blocks``), which
-``simulate`` joins and the CLI writes as they come: an event stop holds
-one block of ``_BLOCK`` stamps at a time, but with paralysis every
-detection's paralysed sum is drawn first (O(n)), and a duration stop
-draws chunks sized to the detections it expects (O(n)).
+``simulate`` joins and the CLI writes as they come: an event stop or a
+duration stop holds one block of ``_BLOCK`` stamps at a time, but with
+paralysis every detection's paralysed sum in a run is drawn first (O(n)).
 
 Runs are reproducible: a fixed seed yields byte-identical timestamps.
 The generator (numpy's PCG64) and the sampler are recorded in the series
@@ -252,106 +251,79 @@ def _on_time_blocks(rng: np.random.Generator, n: int, a: float, h1: float, tau_r
         yield x
 
 
-def _sample_on_times(
-    rng: np.random.Generator,
-    n: int,
-    r_star: float,
-    tau_r: float,
-    paralyzing: ParalyzingParams,
-) -> np.ndarray:
-    """Draw n independent detector-on times: the blocks of :func:`_on_time_blocks` in one array."""
-    a, h1 = _reach(n, r_star, tau_r, paralyzing)
-    out = np.empty(n)
-    for start, x in zip(range(0, n, _BLOCK), _on_time_blocks(rng, n, a, h1, tau_r, paralyzing)):
-        out[start:start + x.size] = x
-    return out
-
-
 def _check_increasing(block: np.ndarray, last: float) -> None:
     if not (block[0] > last and np.all(block[1:] > block[:-1])):
         raise ValueError("timestamps must be strictly increasing")
 
 
-def _event_stamps(config: SimConfig, r_star: float, a: float, h1: float) -> Iterator[np.ndarray]:
-    """The stamps of an event stop, one block of on-times at a time.
+def _stamps(config: SimConfig, r_star: float,
+            run: tuple[int, float, float] | None) -> Iterator[np.ndarray]:
+    """The stamps of a run, one block of on-times at a time, up to its stop.
 
-    Each block of intervals (tau_d plus an on-time) is summed on from the
-    previous block's last stamp: numpy's running sum adds in order, so the
-    blocks repeat the running sum over all n intervals bit for bit.
-    """
-    n, tau_r = config.n_events, config.er.tau_r
-    carry, last = 0.0, -np.inf
-    for on in _on_time_blocks(np.random.default_rng(config.seed), n, a, h1, tau_r,
-                              config.paralyzing):
-        with np.errstate(over="ignore"):  # past the float range a stamp becomes inf
-            on += config.er.tau_d
-            on[0] += carry
-            np.cumsum(on, out=on)
-        if not np.isfinite(on[-1]):
-            raise ValueError(
-                f"{n} detections pass the float range of timestamps "
-                f"({np.finfo(float).max:.3g} s) at a mean on-time of "
-                f"{_mean_on_time(r_star, tau_r, config.paralyzing):.3g} s"
-            )
-        _check_increasing(on, last)
-        carry = last = on[-1]
-        yield on
-
-
-def _duration_stamps(config: SimConfig, r_star: float) -> Iterator[np.ndarray]:
-    """The stamps of a duration stop: chunks of on-times until their sum passes the duration.
-
-    Each chunk is drawn whole, sized at 1.2 times the detections expected in
-    the time left, so memory is O(chunk) and the first chunk is about the
-    whole run.  A stamp past the duration, or past the float range (inf), is
-    dropped.
+    An event stop is one run, ``run`` = (n, a, h1) of :func:`_reach`.  A duration
+    stop (``run`` None) draws runs of 1.2 times the detections expected in the
+    time left, at least 1024, until a stamp passes the duration.  Each block of
+    intervals (tau_d plus an on-time) is summed on from the last stamp: numpy's
+    running sum adds in order, so the blocks repeat one running sum over every
+    interval bit for bit.  The first stamp past the stop cuts its block and ends
+    the stream; inf is past any duration, and raises ValueError on an event stop.
     """
     rng = np.random.default_rng(config.seed)
-    tau_d, tau_r = config.er.tau_d, config.er.tau_r
-    mean_interval = tau_d + _mean_on_time(r_star, tau_r, config.paralyzing)
-    elapsed, carry, last = 0.0, 0.0, -np.inf
-    while elapsed < config.duration:
-        with np.errstate(over="ignore"):
-            remaining = config.duration - elapsed
-            expected = 1.2 * remaining / mean_interval
-            if expected == np.inf:  # 1.2 * remaining passed the float range: divide first
-                expected = 1.2 * (remaining / mean_interval)
-        if expected > MAX_ARRAY_LENGTH:  # inf where the count passes the float range
-            raise ValueError(f"duration {config.duration:g} s expects {expected / 1.2:.3g} "
-                             f"detections, more than the {MAX_ARRAY_LENGTH} one array can hold")
-        on = _sample_on_times(rng, max(1024, int(expected)), r_star, tau_r, config.paralyzing)
-        with np.errstate(over="ignore"):
-            on += tau_d
-            elapsed += float(on.sum())
-            on[0] += carry
-            np.cumsum(on, out=on)
-        carry = on[-1]
-        on = on[on <= config.duration]
-        if on.size:
+    tau_d, tau_r, duration = config.er.tau_d, config.er.tau_r, config.duration
+    paralyzing = config.paralyzing
+    # a stamp past ``end`` is inf (past the float range) or past the duration
+    end = np.finfo(float).max if duration is None else duration
+    carry, last = 0.0, -np.inf
+    while True:
+        if duration is not None:
+            mean_interval = tau_d + _mean_on_time(r_star, tau_r, paralyzing)
+            with np.errstate(over="ignore"):
+                expected = 1.2 * (duration - carry) / mean_interval
+                if expected == np.inf:  # 1.2 * (duration - carry) passed the float range
+                    expected = 1.2 * ((duration - carry) / mean_interval)
+            if expected > MAX_ARRAY_LENGTH:  # inf where the count passes the float range
+                raise ValueError(f"duration {duration:g} s expects {expected / 1.2:.3g} "
+                                 f"detections, more than the {MAX_ARRAY_LENGTH} one array can hold")
+            n = max(1024, int(expected))
+            run = (n, *_reach(n, r_star, tau_r, paralyzing))
+        for on in _on_time_blocks(rng, *run, tau_r, paralyzing):
+            with np.errstate(over="ignore"):  # past the float range a stamp becomes inf
+                on += tau_d
+                on[0] += carry
+                np.cumsum(on, out=on)
+            if on[-1] > end:
+                if duration is None:
+                    raise ValueError(f"{run[0]} detections pass the float range of timestamps "
+                                     f"({end:.3g} s) at a mean on-time of "
+                                     f"{_mean_on_time(r_star, tau_r, paralyzing):.3g} s")
+                on = on[:np.searchsorted(on, end, side="right")]
+                if on.size:
+                    _check_increasing(on, last)
+                    yield on
+                return
             _check_increasing(on, last)
-            last = on[-1]
+            carry = last = on[-1]
             yield on
+        if duration is None or not carry < end:
+            return
 
 
 def _stamp_blocks(config: SimConfig) -> Iterator[np.ndarray]:
-    """The stamps of a run in strictly increasing blocks, from a configuration checked at once.
+    """The stamps of a run in strictly increasing blocks of ``_BLOCK`` (:func:`_stamps`).
 
-    An event stop yields blocks of ``_BLOCK`` stamps and holds O(block)
-    memory, O(n) with paralysis (:func:`_on_time_blocks`); a duration stop
-    yields its chunks (:func:`_duration_stamps`).  A stream that passes the
-    float range or stops increasing raises ValueError at the block where it does.
+    An event stop's draws are checked here, at once; a duration stop's as each
+    run starts.  A stream that passes the float range or stops increasing raises
+    ValueError at the block where it does.
     """
     r_star = config.apriori_rate()
     if config.n_events is not None:
         if r_star <= 0:
-            raise ValueError(
-                "cannot reach the target event count: a priori rate is zero"
-            )
-        a, h1 = _reach(config.n_events, r_star, config.er.tau_r, config.paralyzing)
-        return _event_stamps(config, r_star, a, h1)
+            raise ValueError("cannot reach the target event count: a priori rate is zero")
+        n = config.n_events
+        return _stamps(config, r_star, (n, *_reach(n, r_star, config.er.tau_r, config.paralyzing)))
     if r_star <= 0:
         return iter(())
-    return _duration_stamps(config, r_star)
+    return _stamps(config, r_star, None)
 
 
 def simulate(config: SimConfig) -> TimestampSeries:

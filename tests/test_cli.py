@@ -302,8 +302,9 @@ def test_hist_without_timestamps_is_data_error(runner, tmp_path, name):
     ("inf.csv", b"1e-4\n2e-4\ninf\n", 3),
     ("nan.bin", b"SPTS" + struct.pack("<IQ", 1, 3) + np.array([1e-4, np.nan, 3e-4]).tobytes(), 2),
     ("overflow.csv", b"-1.5e308\n1.5e308\n", 2),
+    ("one_line.csv", b"1 2", None),
 ], ids=["text", "decreasing_csv", "decreasing_bin", "nan_csv", "inf_csv", "nan_bin",
-        "interval_overflow_csv"])
+        "interval_overflow_csv", "one_line_two_columns"])
 def test_hist_untrusted_timestamps_is_data_error(runner, tmp_path, name, content, row):
     ts = tmp_path / name
     ts.write_bytes(content)

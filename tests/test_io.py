@@ -426,13 +426,14 @@ def test_binary_rejects_corruption(tmp_path):
 @pytest.mark.parametrize("name, content", [
     ("text.csv", b"1e-4\nabc\n"),
     ("columns.csv", b"1e-4 2e-4\n3e-4 4e-4\n"),
+    ("one_line.csv", b"1 2"),
     ("magic.bin", b"NOPE" + struct.pack("<IQ", 1, 0)),
     ("header.bin", b"SPTS"),
     ("payload.bin", b"SPTS" + struct.pack("<IQ", 1, 3) + np.zeros(2).tobytes()),
     ("version.bin", b"SPTS" + struct.pack("<IQ", 2, 0)),
     ("count.bin", b"SPTS" + struct.pack("<IQ", 1, 2**63) + np.zeros(2).tobytes()),
-], ids=["text_row", "two_columns", "bad_magic", "truncated_header", "truncated_payload",
-        "bad_version", "count_past_memory"])
+], ids=["text_row", "two_columns", "one_line_two_columns", "bad_magic", "truncated_header",
+        "truncated_payload", "bad_version", "count_past_memory"])
 def test_malformed_timestamp_file_is_degenerate_data(tmp_path, name, content):
     # the CLI maps DegenerateDataError to exit 3 and any other ValueError to exit 2
     path = tmp_path / name

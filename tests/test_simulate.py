@@ -239,7 +239,7 @@ def test_sampler_golden_bytes_with_newton_paralysed_blocks(paper_params):
 
 
 def _sample_reference(rng, n, r_star, tau_r, paralyzing, block):
-    """_sample_on_times written plainly, with sized draws: each block of ``block``
+    """A run of on-times written plainly, with sized draws: each block of ``block``
     paralysed segments adds tau_r times each detection's partial sum, summed from
     0.0 in segment order; then each block of ``block`` detected segments."""
     a = r_star * tau_r
@@ -265,6 +265,12 @@ def _sample_reference(rng, n, r_star, tau_r, paralyzing, block):
     return np.array(out)
 
 
+def _joined_blocks(rng, n, r_star, tau_r, paralyzing, blocks=simulate._on_time_blocks):
+    """A run of the stop loop in one array: its reach, then its ``blocks`` joined."""
+    a, h1 = simulate._reach(n, r_star, tau_r, paralyzing)
+    return np.concatenate(list(blocks(rng, n, a, h1, tau_r, paralyzing)))
+
+
 def _assert_sampler_matches_reference(sample, rng, n, *args):
     """Draw with ``sample`` and with the reference from one state: same bits, same stream."""
     twin = copy.deepcopy(rng)
@@ -285,7 +291,7 @@ _REFERENCE_PARALYZING = ParalyzingParams(tau_p1=0.6 * 112.5e-9, tau_p2=27e-9)
 def test_sampler_blocks_match_plain_reference(paper_params, monkeypatch, n, seed):
     monkeypatch.setattr(simulate, "_BLOCK", 8)
     r_star, tau_r = 10.0 / paper_params.tau_r, paper_params.tau_r
-    _assert_sampler_matches_reference(simulate._sample_on_times, np.random.default_rng(seed),
+    _assert_sampler_matches_reference(_joined_blocks, np.random.default_rng(seed),
                                       n, r_star, tau_r, _REFERENCE_PARALYZING)
     h1 = er.er_cumulative_hazard(_REFERENCE_PARALYZING.tau_p1, r_star, tau_r)
     count = np.random.default_rng(seed).geometric(np.exp(-h1), n) - 1
@@ -299,17 +305,22 @@ def test_sampler_blocks_match_plain_reference(paper_params, monkeypatch, n, seed
 
 
 def test_duration_stop_chunks_match_plain_reference(paper_params, monkeypatch):
-    # every chunk of the duration loop, each a call with its own draw buffer
+    # every run of the duration loop, each a call with its own draw buffer: drawn
+    # whole, checked, then handed to the loop in blocks
     monkeypatch.setattr(simulate, "_BLOCK", 8)
-    sample, sizes = simulate._sample_on_times, []
-
-    def checked(rng, n, *args):
-        sizes.append(n)
-        return _assert_sampler_matches_reference(sample, rng, n, *args)
-
-    monkeypatch.setattr(simulate, "_sample_on_times", checked)
+    blocks, sizes = simulate._on_time_blocks, []
     config = _config(paper_params, 10.0 / paper_params.tau_r, duration=0.05,
                      paralyzing=_REFERENCE_PARALYZING)
+    r_star = config.apriori_rate()
+
+    def checked(rng, n, a, h1, tau_r, paralyzing):
+        sizes.append(n)
+        assert (a, h1) == simulate._reach(n, r_star, tau_r, paralyzing)
+        run = _assert_sampler_matches_reference(
+            lambda *args: _joined_blocks(*args, blocks=blocks), rng, n, r_star, tau_r, paralyzing)
+        yield from np.split(run, range(simulate._BLOCK, n, simulate._BLOCK))
+
+    monkeypatch.setattr(simulate, "_on_time_blocks", checked)
     assert simulate.simulate(config).times.size > 0
     assert sizes and min(sizes) >= 1024
 

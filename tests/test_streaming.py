@@ -132,12 +132,12 @@ def test_simulate_that_cannot_fit_on_its_disk_exits_4(runner, tmp_path):
     assert not out.exists()
 
 
-def _traced_hist(path, out):
+def _traced_peak(args):
+    """The peak of memory traced over one in-process CLI command."""
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(_io.StringIO()):
-            cli.main(["hist", str(path), "--bin-width", "1e-9", "--out", str(out)],
-                     standalone_mode=False)
+            cli.main(args, standalone_mode=False)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -148,5 +148,19 @@ def test_hist_memory_does_not_grow_with_the_stream(runner, tmp_path):
     for n in (100_000, 400_000):
         path = tmp_path / f"ts{n}.csv"
         _simulate_cli(runner, path, ["--events", str(n)])
-        peaks.append(_traced_hist(path, tmp_path / "h.csv"))
+        peaks.append(_traced_peak(["hist", str(path), "--bin-width", "1e-9",
+                                   "--out", str(tmp_path / "h.csv")]))
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
+# ~1e5 and ~4e5 detections each: the README point detects ~12,400 a second
+@pytest.mark.parametrize("stops", [
+    (["--events", "100000"], ["--events", "400000"]),
+    (["--duration", "8"], ["--duration", "32"]),
+], ids=["events", "duration"])
+def test_simulate_memory_does_not_grow_with_the_stream(tmp_path, stops):
+    # the first command run in a process also traces ~0.7 MiB of first-call setup
+    _, *peaks = [_traced_peak(["simulate", "--ri", "5.23e8", "--seed", "5", *stop, "--format",
+                               "bin", "--out", str(tmp_path / "ts.bin")])
+                 for stop in (stops[0], *stops)]
     assert abs(peaks[1] - peaks[0]) < 2**20, peaks
