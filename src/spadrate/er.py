@@ -142,7 +142,7 @@ def _x_plus_expm1(x):
 
 
 def _check_times(t):
-    if np.any(np.asarray(t) < 0):
+    if (t < 0) if isinstance(t, float) else np.any(np.asarray(t) < 0):
         raise ValueError("time must be non-negative")
 
 
@@ -162,12 +162,18 @@ def er_profile(eta0: float, tau_r: float) -> nhpp.EfficiencyProfile:
 
 
 def er_cumulative_hazard(t, r_star: float, tau_r: float):
-    """Integrated detection hazard r_star * (t - tau_r * (1 - exp(-t/tau_r)))."""
+    """Integrated detection hazard r_star * (t - tau_r * (1 - exp(-t/tau_r))).
+
+    Floats (tau_r != 0) take Python floats, with the bits an array entry gets."""
     _check_times(t)
+    if isinstance(t, float) and isinstance(r_star, float) and isinstance(tau_r, float) and tau_r:
+        t, r_star, tau_r = float(t), float(r_star), float(tau_r)
+        x = t / tau_r
+        return r_star * t if math.isinf(x) else r_star * tau_r * _x_plus_expm1(x)
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):  # past x ~ 1e16, x + expm1(-x) is x: H -> r_star t
         x = t / tau_r
-    return np.where(np.isinf(x), r_star * t, r_star * tau_r * _x_plus_expm1(x))[()]
+        return np.where(np.isinf(x), r_star * t, r_star * tau_r * _x_plus_expm1(x))[()]
 
 
 def er_ccdf(t, r_star: float, tau_r: float):

@@ -279,7 +279,7 @@ def _er_bins(edges, params, total, jacobian=True):
         -tau_r * r_star * (recovered - x * np.exp(-x)),
         np.zeros_like(x),
     ])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # diff/inf = 0 past 709.8
         d_log_mu = np.where(step > 0, np.diff(d_hazard, axis=1) / np.expm1(step), 0.0)
     d_log_mu -= d_hazard[:, :-1]
     d_log_mu[3] = 1.0

@@ -7,19 +7,21 @@ is modeled at mean level only: no probability density is claimed for the
 paralyzing case.
 
 The mean needs one integral, the conditional numerator N of t * pdf(t)
-over [0, tau_p1], taken with a fixed 48-point Gauss-Legendre rule from
-numpy.  The window ends early once the hazard passes 50, at tau_r * x_b
+over [0, tau_p1], taken with a fixed 48-point Gauss-Legendre rule per
+panel.  The window ends early once the hazard passes 50, at tau_r * x_b
 with x_b the closed-form root of x^2 / (2 + x) = 50 / (r_star * tau_r):
 x^2 / (2 + x) is a lower bound of x + expm1(-x), the hazard in units of
-r_star * tau_r, so no solver is needed.  With H the hazard over the
-window, the mean is <t>_er + e^H * N + expm1(H) * tau_p2; past H = 709.8
-e^H overflows (full paralysis) and the mean raises ValueError.
+r_star * tau_r, so no solver is needed.  Nodes and the r_star-free parts
+of pdf(t) are cached per window, a zero-width panel dropped.  With H the
+hazard over the window, the mean is <t>_er + e^H * N + expm1(H) * tau_p2;
+past H = 709.8 e^H overflows (full paralysis) and the mean raises ValueError.
 It is linear in tau_p2, so the fit solves tau_p2 in closed form for each
 tau_p1 and scores log tau_p1 alone (variable projection).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,19 +59,41 @@ def paralyzation_prob(pp: ParalyzingParams, r_star: float, tau_r: float) -> floa
     return float(er.er_cdf(pp.tau_p1, r_star, tau_r))
 
 
+@functools.lru_cache(maxsize=16)
+def _window_nodes(knee: float, end: float, tau_r: float):
+    """Read-only t, x + expm1(-x), 1 - e^-x, half * w and x = inf (None if nowhere) at the
+    nodes, x = t/tau_r; a zero-width panel, whose terms were exact zeros, is dropped."""
+    points = np.array([0.0, knee, end] if knee < end else [0.0, knee])
+    half = 0.5 * np.diff(points)[:, None]
+    t = points[:-1, None] + half * (nhpp._GL_X + 1.0)
+    er._check_times(t)
+    with np.errstate(over="ignore"):
+        x = t / tau_r
+    nodes = (t, er._x_plus_expm1(x), er._one_minus_exp(x), half * nhpp._GL_W, np.isinf(x))
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes[:4] + (nodes[4] if nodes[4].any() else None,)
+
+
 def _conditional_numerator(tau_p1: float, r_star: float, tau_r: float) -> float:
     """Integral of t * pdf(t) over [0, tau_p1] by 48-point Gauss-Legendre panels.
 
     The window ends at tau_r * x_b if sooner: x_b solves x^2/(2 + x) = 50/a, a = r_star *
     tau_r, and x^2/(2 + x) <= x + expm1(-x) (below x = 2 as artanh(x/2) >= x/2), so the
     hazard there is 50 to 57 and the cut drops below (end/<t> + 1) e^-50 of the mass.
-    Panels split at 40 tau_r resolve the recovery knee however long the window is.
+    Panels split at 40 tau_r resolve the recovery knee however long the window is.  The
+    pdf takes ``er.er_pdf``'s operations in order on nodes shared per window.
     Raises ValueError unless a is a normal double.
     """
     c = 50.0 / er._rate_product(r_star, tau_r)
     end = min(tau_p1, tau_r * 0.5 * (c + math.sqrt(c * (c + 8.0))))
     knee = min(end, 40.0 * tau_r)
-    return nhpp._gauss_legendre(lambda t: t * er.er_pdf(t, r_star, tau_r), [0.0, knee, end])
+    t, g, q, weights, far = _window_nodes(knee, end, tau_r)
+    hazard = r_star * tau_r * g
+    if far is not None:
+        with np.errstate(over="ignore"):
+            hazard = np.where(far, r_star * t, hazard)
+    return float((weights * (t * (r_star * q * np.exp(-hazard)))).sum())
 
 
 def mean_conditional_on_time(pp: ParalyzingParams, r_star: float, tau_r: float) -> float:

@@ -6,10 +6,12 @@ closed-form hazard, means via the survival function, and histogram
 synthesis by exact CDF differences plus a multinomial draw.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate, optimize
 
-from spadrate import er, simulate
+from spadrate import er, nhpp, simulate
 from spadrate.inference import IntervalHistogram
 
 PAPER = er.ErParams(eta0=0.19117, tau_d=80.09205e-6, tau_r=112.5e-9)
@@ -95,6 +97,20 @@ def _window_points(r_star: float, tau_r: float, tau_p1: float) -> list[float]:
     end = min(tau_p1, knots[-1])
     knots += [tau_r * 10.0**k for k in range(-2, 5)]
     return [0.0] + sorted(t for t in set(knots) if t < end) + [end]
+
+
+def paralyzing_numerator_rule(tau_p1: float, r_star: float, tau_r: float) -> float:
+    """The paralyzing numerator as first written: nhpp's rule over t * er_pdf(t).
+
+    The panels [0, knee, end] of ``paralyzing._conditional_numerator``, a
+    zero-width one included, with the pdf evaluated afresh through
+    ``er.er_pdf`` at every node; the library's cached nodes keep its bits.
+    """
+    c = 50.0 / er._rate_product(r_star, tau_r)
+    end = min(tau_p1, tau_r * 0.5 * (c + math.sqrt(c * (c + 8.0))))
+    knee = min(end, 40.0 * tau_r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return nhpp._gauss_legendre(lambda t: t * er.er_pdf(t, r_star, tau_r), [0.0, knee, end])
 
 
 def paralyzing_micro_mean(r_star: float, tau_r: float, tau_p1: float, tau_p2: float) -> float:

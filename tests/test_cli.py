@@ -239,6 +239,25 @@ def test_fit_single_bin_histogram_is_fit_error(runner, tmp_path):
     assert result.exit_code == 3, result.output
 
 
+def test_fit_with_tau_d_free_at_rt_11_has_no_overflow_warning(runner, tmp_path):
+    # rt = 11.25 with tau_d free: a line-search trial raises r_star until the hazard step
+    # of the empty run up to the --range end passes ~709.8, where expm1 overflows and
+    # d log mu is diff/inf = 0; the fit converges with no RuntimeWarning
+    ts, hist, fit = tmp_path / "ts1.bin", tmp_path / "histogram.csv", tmp_path / "fit.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for args in (["simulate", "--eta0", "1", "--tau-d", "80.09205e-6", "--tau-r",
+                      "112.5e-9", "--ri", "1e8", "--events", "1e5", "--seed", "1",
+                      "--format", "bin", "--out", str(ts)],
+                     ["hist", str(ts), "--bin-width", "1e-10", "--range", "80.04205e-6",
+                      "86.84205e-6", "--out", str(hist)],
+                     ["fit", str(hist), "--init", "r_star=1e8", "--init", "tau_d=80.08905e-6",
+                      "--init", "tau_r=112.5e-9", "--out", str(fit)]):
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 0, result.output
+    assert json.loads(fit.read_text())["params"]["tau_r"] == pytest.approx(120.0e-9, rel=1e-3)
+
+
 def test_simulate_manifest_records_sampler(runner, tmp_path):
     out = tmp_path / "ts.bin"
     result = runner.invoke(cli, _simulate_args(out, events=10, extra=["--format", "bin"]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -125,6 +127,26 @@ def test_hazard_where_t_over_tau_r_overflows():
     # only an infinite t / tau_r takes r_star * t: a nan one stays nan
     assert np.isnan(er.er_cumulative_hazard(1e-9, 1e9, np.nan))
     assert np.isnan(er.er_cumulative_hazard(np.array([1e-9, 2e298]), 1e9, np.nan)).all()
+
+
+def test_float_hazard_keeps_the_bits_of_an_array_entry():
+    t = np.array([0.0, 5e-324, 1e-12, 1e-9, 11.25e-9, 15e-9, 112.5e-9, 1e-6, 1e-3, 2e298,
+                  1e308, np.inf])
+    for r_star, tau_r in ((3e8, TAU_R), (2.25e-298, 1e-10), (1e12, 1e-6), (1e-300, 1e300)):
+        want = er.er_cumulative_hazard(t, r_star, tau_r)
+        got = [er.er_cumulative_hazard(float(v), r_star, tau_r) for v in t]
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [float(v).hex() for v in want], (r_star, tau_r)
+
+
+def test_hazard_overflow_is_inf_without_warning():
+    # r_star * t = 2e310 and r_star * tau_r * (x + expm1(-x)) overflow on either path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert er.er_cumulative_hazard(2e298, 1e12, 1e-6) == np.inf
+        assert er.er_cumulative_hazard(np.array(2e298), 1e12, 1e-6) == np.inf
+        got = er.er_cumulative_hazard(np.array([1e-9, 2e298]), 1e12, 1e-6)
+    assert got[0] == er.er_cumulative_hazard(1e-9, 1e12, 1e-6) and got[1] == np.inf
 
 
 def test_pdf_zero_at_zero():

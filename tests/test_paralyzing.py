@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -158,6 +161,58 @@ def test_window_end_needs_no_solver(monkeypatch):
 
     monkeypatch.setattr(simulate, "_inverse_hazard", solver)
     assert paralyzing_mean_on_time(PP, 1e11, TAU_R) > er.er_mean_on_time(1e11, TAU_R)
+
+
+# (tau_p1, r_star, tau_r), windows interleaved so the node cache both misses and hits:
+# the paper's window, uncut from 1e6 to 1e10 /s, between the knee split at 40 tau_r,
+# the cut at H = 50 with and without the split, and t / tau_r past the float range
+# with H(tau_p1) = 4.5
+_WINDOWS = [(15e-9, rs, TAU_R) for rs in np.logspace(6.0, 10.0, 17).tolist()]
+_WINDOWS[1::4] = [(1e-5, 1e5, TAU_R), (15e-9, 3e11, TAU_R), (2e298, 2.25e-298, 1e-10),
+                  (1e-4, 1e6, TAU_R)]
+
+
+def test_window_nodes_keep_the_bits_of_the_pdf_rule():
+    paralyzing._window_nodes.cache_clear()
+    for _ in range(2):
+        for tau_p1, r_star, tau_r in _WINDOWS:
+            pp = ParalyzingParams(tau_p1=tau_p1, tau_p2=27e-9)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = [*paralyzing._prolongation_terms(tau_p1, r_star, tau_r),
+                       paralyzing_mean_on_time(pp, r_star, tau_r),
+                       mean_conditional_on_time(pp, r_star, tau_r)]
+            # the array path of the hazard, and the pdf evaluated afresh at every node
+            hazard = er.er_cumulative_hazard(np.array([tau_p1]), r_star, tau_r)[0]
+            numerator = helpers.paralyzing_numerator_rule(tau_p1, r_star, tau_r)
+            extra, count = float(np.exp(hazard) * numerator), float(np.expm1(hazard))
+            want = [extra, count, er.er_mean_on_time(r_star, tau_r) + extra + count * pp.tau_p2,
+                    numerator / float(-np.expm1(-hazard))]
+            assert [v.hex() for v in got] == [v.hex() for v in want], (tau_p1, r_star, tau_r)
+    # five windows, each built once; every other numerator of the three calls reuses one
+    info = paralyzing._window_nodes.cache_info()
+    assert (info.misses, info.hits) == (5, 3 * 2 * len(_WINDOWS) - 5)
+    for knee, end, tau_r, far in ((15e-9, 15e-9, TAU_R, False), (4e-9, 2e298, 1e-10, True)):
+        *nodes, mask = paralyzing._window_nodes(knee, end, tau_r)
+        assert (mask is not None) == far
+        for a in nodes + [mask] * far:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0
+
+
+def test_conditional_mean_past_float_range_over_tau_r_has_no_warning():
+    # t / tau_r passes the float range at the window's far nodes; the density is
+    # r_star e^(-r_star t) there, so N / p = (1 - (1 + H) e^-H) / (1 - e^-H) / r_star
+    r_star, hazard = 2.25e-298, 4.5
+    want = (1.0 - (1.0 + hazard) * math.exp(-hazard)) / -math.expm1(-hazard) / r_star
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = mean_conditional_on_time(ParalyzingParams(2e298, 0.0), r_star, 1e-10)
+        # H(tau_p1) = 4.5e10, where c * (c + 8) of the window end overflows and the
+        # H = 50 cut is lost; only the absence of a warning is checked here
+        mean_conditional_on_time(ParalyzingParams(2e298, 0.0), 2.25e-288, 1e-10)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("tau_p2", [27e-9, 0.0])
