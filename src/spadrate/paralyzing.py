@@ -86,7 +86,9 @@ def _conditional_numerator(tau_p1: float, r_star: float, tau_r: float) -> float:
     Raises ValueError unless a is a normal double.
     """
     c = 50.0 / er._rate_product(r_star, tau_r)
-    end = min(tau_p1, tau_r * 0.5 * (c + math.sqrt(c * (c + 8.0))))
+    product = c * (c + 8.0)  # inf past c ~ 1.3e154, where the root is split
+    root = math.sqrt(product) if product < math.inf else math.sqrt(c) * math.sqrt(c + 8.0)
+    end = min(tau_p1, tau_r * 0.5 * (c + root))
     knee = min(end, 40.0 * tau_r)
     t, g, q, weights, far = _window_nodes(knee, end, tau_r)
     hazard = r_star * tau_r * g

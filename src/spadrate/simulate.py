@@ -18,8 +18,8 @@ segment is H's inverse at H1 + E, so no draw is ever rejected.
 
 The stamps come in strictly increasing blocks (``_stamp_blocks``), which
 ``simulate`` joins and the CLI writes as they come: an event stop or a
-duration stop holds one block of ``_BLOCK`` stamps at a time, but with
-paralysis every detection's paralysed sum in a run is drawn first (O(n)).
+duration stop holds one block of ``_BLOCK`` stamps at a time, with or
+without paralysis.
 
 Runs are reproducible: a fixed seed yields byte-identical timestamps.
 The generator (numpy's PCG64) and the sampler are recorded in the series
@@ -28,6 +28,7 @@ metadata; a different sampler gives a different stream for the same seed.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
@@ -49,7 +50,8 @@ __all__ = [
 _RNG_NAME = "numpy.random.PCG64"
 _SAMPLER = "inverse-hazard"
 # Draws per block: bounds scratch memory at any paralysis (larger blocks were slower and
-# bigger).  Each detection's paralysed sum is added block by block, so the size fixes the bytes.
+# bigger).  A detection's paralysed sum is added over blocks of _BLOCK segments counted
+# from its run's first segment, so these global edges, and so the size, fix the bytes.
 _BLOCK = 1 << 14
 # Paralysed segments one call may draw: ~15-20 s at 0.014-0.019 us per draw
 # (30,000 events at 6e9 /s) on a 2-vCPU x86 VM.
@@ -178,12 +180,13 @@ def _reach(n: int, r_star: float, tau_r: float,
     """r_star * tau_r and H(tau_p1) for n draws, or ValueError if the draws are out of reach."""
     a = _rate_product(r_star, tau_r)
     h1 = er_cumulative_hazard(paralyzing.tau_p1, r_star, tau_r)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # inf past the float range, out of reach
         per_detection = np.expm1(h1)
-    if n * per_detection > _MAX_PARALYZED_DRAWS:
+        draws = n * per_detection
+    if draws > _MAX_PARALYZED_DRAWS:
         raise ValueError(
             f"paralyzing configuration out of reach: {per_detection:.3g} paralyzations "
-            f"expected per detection, {n * per_detection:.3g} for {n} detections "
+            f"expected per detection, {draws:.3g} for {n} detections "
             f"(limit {_MAX_PARALYZED_DRAWS:.0e})"
         )
     # (h1 + E) / a must stay finite: numpy's exponentials E <= 7.697 - log(2**-53) = 44.43
@@ -194,60 +197,75 @@ def _reach(n: int, r_star: float, tau_r: float,
     return a, h1
 
 
-def _paralysed_sums(rng: np.random.Generator, n: int, a: float, h1: float, tau_r: float,
-                    paralyzing: ParalyzingParams, draws: np.ndarray) -> np.ndarray:
-    """Each of n detections' paralysed time: its count times tau_p2 plus its segments.
+def _add_paralysed(x: np.ndarray, counts: np.random.Generator, segments: np.random.Generator,
+                   drawn: int, a: float, h1: float, tau_r: float, tau_p2: float,
+                   draws: np.ndarray) -> int:
+    """Add x's detections' paralysed times; return the run's segments drawn through them.
 
-    The segments go through blocks of ``_BLOCK`` draws, so scratch memory stays
-    O(n + block) however many paralyzations a detection has.
+    A time is the count times tau_p2 plus tau_r times each partial sum, from 0.0 in segment
+    order, over blocks of ``_BLOCK`` of the run's segments (``drawn`` of them before x's).
     """
-    count = rng.geometric(np.exp(-h1), n) - 1
+    count = counts.geometric(np.exp(-h1), x.size)
+    count -= 1
     ends = np.cumsum(count)
-    out = np.multiply(count, paralyzing.tau_p2)
+    ends += drawn  # each detection's last segment, counted from the run's first
+    out = np.multiply(count, tau_p2)
     p = -np.expm1(-h1)
-    for start in range(0, int(ends[-1]), _BLOCK):
-        stop = min(start + _BLOCK, int(ends[-1]))
-        # held: the detections of first..last with segments here, at most _BLOCK of them,
-        # in runs of their counts with the end runs clipped; bincount sums each from 0.0
-        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
-        held = first + np.flatnonzero(count[first:last + 1])
-        runs = count[held]
-        runs[0] = ends[first] - start
-        runs[-1] -= ends[last] - stop
-        u = rng.random(out=draws[:stop - start])
+    while drawn < ends[-1]:
+        # the segments up to the second block edge in one transform
+        edge = (drawn // _BLOCK + 1) * _BLOCK
+        chunk = min(edge + _BLOCK, int(ends[-1]))
+        u = segments.random(out=draws[:chunk - drawn])
         np.log1p(np.multiply(u, -p, out=u), out=u)  # -log1p(-p u) / a as log1p(-p u) / -a
         u /= -a
         seg = _inverse_hazard(u)  # then the labels, in scratch it freed (see _reversion)
-        owner = np.repeat(np.arange(runs.size), runs)
-        sums = np.bincount(owner, weights=seg)
-        sums *= tau_r
-        out[held] += sums
-    return out
+        cuts = [drawn, *range(edge, chunk, _BLOCK), chunk]
+        for lo, hi in zip(cuts, cuts[1:]):
+            # held: the detections of first..last with segments in [lo, hi), in runs
+            # of their counts with the end runs clipped; bincount sums each from 0.0
+            first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+            held = first + np.flatnonzero(count[first:last + 1])
+            runs = count[held]
+            runs[0] = ends[first] - lo
+            runs[-1] -= ends[last] - hi
+            owner = np.repeat(np.arange(runs.size), runs)
+            sums = np.bincount(owner, weights=seg[lo - drawn:hi - drawn])
+            sums *= tau_r
+            out[held] += sums
+        del seg, owner  # before the next transform: alive over it, they raised peak RSS
+        drawn = chunk
+    x += out
+    return drawn
 
 
 def _on_time_blocks(rng: np.random.Generator, n: int, a: float, h1: float, tau_r: float,
                     paralyzing: ParalyzingParams) -> Iterator[np.ndarray]:
     """n independent detector-on times, in blocks of ``_BLOCK``, by inverting the integrated hazard.
 
-    With paralysis (h1 > 0) the generator draws every paralysed segment before
-    the first detected one, so each detection's paralysed sum is held for all n
-    detections before the first block: O(n) memory.  Without, O(block).
+    With paralysis (h1 > 0) a run's stream holds n geometric counts, then one uniform per
+    paralysed segment, then n exponentials.  A first pass totals the counts; then ``counts``
+    draws them again, ``segments`` the uniforms from the state after them, and ``rng``
+    skips the uniforms (one word each): O(block) memory at any paralysis.
     """
-    draws = np.empty(_BLOCK)  # refilled by rng.random and rng.standard_exponential
-    paralysed = None
+    draws = np.empty(_BLOCK)  # refilled by rng.standard_exponential
     if h1 > 0:
-        with np.errstate(over="ignore"):  # past the float range an on-time becomes inf
-            paralysed = _paralysed_sums(rng, n, a, h1, tau_r, paralyzing, draws)
+        counts = copy.deepcopy(rng)
+        total = sum(int(rng.geometric(np.exp(-h1), min(_BLOCK, n - start)).sum())
+                    for start in range(0, n, _BLOCK)) - n
+        segments = copy.deepcopy(rng)
+        rng.bit_generator.advance(total)
+        drawn, seg_draws = 0, np.empty(2 * _BLOCK)  # drawn: the run's segments so far
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         e = rng.standard_exponential(out=draws[:stop - start])
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # past the float range an on-time becomes inf
             e += h1
             e /= a
             x = _inverse_hazard(e)
             x *= tau_r  # in place: one more 128 KiB temporary made glibc refault the heap per block
-            if paralysed is not None:
-                x += paralysed[start:stop]
+            if h1 > 0:
+                drawn = _add_paralysed(x, counts, segments, drawn, a, h1, tau_r,
+                                       paralyzing.tau_p2, seg_draws)
         yield x
 
 

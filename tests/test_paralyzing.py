@@ -209,10 +209,19 @@ def test_conditional_mean_past_float_range_over_tau_r_has_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = mean_conditional_on_time(ParalyzingParams(2e298, 0.0), r_star, 1e-10)
-        # H(tau_p1) = 4.5e10, where c * (c + 8) of the window end overflows and the
-        # H = 50 cut is lost; only the absence of a warning is checked here
+        # H(tau_p1) = 4.5e10, where c * (c + 8) of the window end overflows
         mean_conditional_on_time(ParalyzingParams(2e298, 0.0), 2.25e-288, 1e-10)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_window_cut_holds_where_its_root_overflows():
+    # c = 50 / (r_star tau_r) ~ 2.2e299: c * (c + 8) overflows, and the window still ends
+    # where H = 50; p rounds to 1, so the conditional mean is the unconditional one
+    r_star, tau_r = 2.25e-288, 1e-10
+    pp = ParalyzingParams(2e298, 0.0)
+    assert paralyzation_prob(pp, r_star, tau_r) == 1.0
+    got = mean_conditional_on_time(pp, r_star, tau_r)
+    assert got == pytest.approx(er.er_mean_on_time(r_star, tau_r), rel=1e-12)
 
 
 @pytest.mark.parametrize("tau_p2", [27e-9, 0.0])

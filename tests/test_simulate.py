@@ -285,23 +285,41 @@ def _assert_sampler_matches_reference(sample, rng, n, *args):
 # segments per detection, a fifth of the detections with none; the segments
 # take both the reversion series and Newton
 _REFERENCE_PARALYZING = ParalyzingParams(tau_p1=0.6 * 112.5e-9, tau_p2=27e-9)
+# the top blinding rung, r_star*tau_r = 675 and tau_p1 = 15 ns: H(tau_p1) ~ 5.7, ~300
+# segments per detection, so a block of detections ends inside a block of segments
+_HEAVY_PARALYZING = ParalyzingParams(tau_p1=15e-9, tau_p2=27e-9)
+# tau_p1 = 0.4 tau_r at r_star*tau_r = 10: H(tau_p1) ~ 0.70, e^-H >= 1/3, where numpy
+# draws each geometric count from one generator word
+_LIGHT_PARALYZING = ParalyzingParams(tau_p1=0.4 * 112.5e-9, tau_p2=27e-9)
 
 
-@pytest.mark.parametrize("n, seed", [(300, 4), (5, 1)], ids=["blocks", "n_below_block"])
-def test_sampler_blocks_match_plain_reference(paper_params, monkeypatch, n, seed):
+@pytest.mark.parametrize("n, seed, rt, paralyzing", [
+    (300, 4, 10.0, _REFERENCE_PARALYZING),
+    (5, 1, 10.0, _REFERENCE_PARALYZING),
+    (20, 1, 675.0, _HEAVY_PARALYZING),
+    (300, 3, 10.0, _LIGHT_PARALYZING),
+], ids=["blocks", "n_below_block", "heavy", "light"])
+def test_sampler_blocks_match_plain_reference(paper_params, monkeypatch, n, seed, rt, paralyzing):
     monkeypatch.setattr(simulate, "_BLOCK", 8)
-    r_star, tau_r = 10.0 / paper_params.tau_r, paper_params.tau_r
+    r_star, tau_r = rt / paper_params.tau_r, paper_params.tau_r
     _assert_sampler_matches_reference(_joined_blocks, np.random.default_rng(seed),
-                                      n, r_star, tau_r, _REFERENCE_PARALYZING)
-    h1 = er.er_cumulative_hazard(_REFERENCE_PARALYZING.tau_p1, r_star, tau_r)
+                                      n, r_star, tau_r, paralyzing)
+    h1 = er.er_cumulative_hazard(paralyzing.tau_p1, r_star, tau_r)
     count = np.random.default_rng(seed).geometric(np.exp(-h1), n) - 1
     ends = np.cumsum(count)
-    if n > 8:
+    if paralyzing is _REFERENCE_PARALYZING and n > 8:
         # detections with no segment where a block ends, a detection over at
         # least three blocks, and a short last block
         assert np.any((count == 0) & (ends % 8 == 0) & (ends > 0) & (ends < ends[-1]))
         assert np.max((ends - 1) // 8 - (ends - count) // 8) >= 2
         assert ends[-1] % 8 != 0
+    if paralyzing is _HEAVY_PARALYZING:
+        # every block of 8 detections ends inside a block of 8 segments
+        assert count.mean() > 200 and np.all(ends[7::8] % 8 != 0)
+    if paralyzing is _LIGHT_PARALYZING:
+        # blocks of detections that end on a segment block's edge and inside one
+        assert np.exp(-h1) >= 1 / 3
+        assert np.any(ends[7::8] % 8 == 0) and np.any(ends[7::8] % 8 != 0)
 
 
 def test_duration_stop_chunks_match_plain_reference(paper_params, monkeypatch):
@@ -444,6 +462,21 @@ def test_unreachable_paralyzing_configuration_raises(paper_params, stop):
         **stop,
     )
     with pytest.raises(ValueError, match="expected per detection"):
+        simulate.simulate(config)
+
+
+def test_out_of_reach_count_past_the_float_range_raises_without_warning(paper_params):
+    # r_star*tau_r ~ 1000 and tau_p1 = 165.9 ns: H(tau_p1) ~ 703.5, so e^H - 1 ~ 3.6e305
+    # paralyzations per detection is a float, but 30,000 times it is not; RuntimeWarnings
+    # are errors under the test configuration
+    config = simulate.SimConfig(
+        er=er.ErParams(eta0=paper_params.eta0, tau_d=1e-6, tau_r=paper_params.tau_r),
+        source=er.SourceParams(photon_rate=4.65e10),
+        paralyzing=ParalyzingParams(tau_p1=165.9e-9, tau_p2=27e-9),
+        n_events=30_000,
+    )
+    with pytest.raises(ValueError, match=r"3\.58e\+305 paralyzations expected per detection, "
+                                         r"inf for 30000 detections"):
         simulate.simulate(config)
 
 

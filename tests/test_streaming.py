@@ -1,6 +1,7 @@
 """Block-by-block simulate -> file -> hist: the whole arrays' bytes, in constant memory."""
 
 import contextlib
+import dataclasses
 import io as _io
 import tracemalloc
 
@@ -164,3 +165,24 @@ def test_simulate_memory_does_not_grow_with_the_stream(tmp_path, stops):
                                "bin", "--out", str(tmp_path / "ts.bin")])
                  for stop in (stops[0], *stops)]
     assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
+def test_paralysed_stream_holds_a_few_blocks():
+    # 2e5 detections at ~3.4 paralysed segments each: holding 24 bytes per detection
+    # of the run would trace 4.8 MB; the streamed sampler holds a few blocks of 2**14
+    tau_r = 112.5e-9
+    config = simulate.SimConfig(
+        er=er.ErParams(eta0=1.0, tau_d=80.09205e-6, tau_r=tau_r),
+        source=er.SourceParams(photon_rate=10.0 / tau_r),
+        paralyzing=ParalyzingParams(tau_p1=0.6 * tau_r, tau_p2=27e-9),
+        n_events=200_000, seed=3)
+    for _ in simulate._stamp_blocks(dataclasses.replace(config, n_events=1000)):
+        pass  # first-call setup, untraced
+    tracemalloc.start()
+    try:
+        blocks = sum(1 for _ in simulate._stamp_blocks(config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == 13
+    assert peak < 24 * 8 * simulate._BLOCK, peak
